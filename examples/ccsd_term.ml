@@ -23,6 +23,15 @@ T2[b,c,j,k] = sum[d,f] T1[b,c,d,f] * C[d,f,j,k]
 S[a,b,i,j]  = sum[c,k] T2[b,c,j,k] * A[a,c,i,k]
 |}
 
+(* A baseline is a (fusion mode, objective) setting of the one search. *)
+let baseline mode cfg ext tree =
+  let fusion_mode, objective = Baselines.of_mode mode in
+  Result.map Search.tree_plan
+    (Search.plan ext
+       (Search.request ~objective
+          (Search.Grid { cfg with Search.fusion_mode })
+          (Search.Tree tree)))
+
 let report_baseline name result =
   match result with
   | Error msg -> Format.printf "  %s: infeasible (%s)@." name msg
@@ -57,11 +66,11 @@ let () =
         Simulate.pp_timing timing (Plan.comm_cost plan);
       Format.printf "baselines:@.";
       report_baseline "fusion-free distribution [16]  "
-        (Baselines.fusion_free cfg ext tree);
+        (baseline `None cfg ext tree);
       report_baseline "memory-minimal fusion [14,15]  "
-        (Baselines.memory_minimal cfg ext tree);
+        (baseline `Memmin cfg ext tree);
       report_baseline "integrated search (this paper) "
-        (Baselines.integrated cfg ext tree);
+        (baseline `All cfg ext tree);
       Format.printf "@.")
     [
       (64, Paperref.table1, Paperref.totals1, "Table 1");

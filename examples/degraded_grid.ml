@@ -59,7 +59,10 @@ let () =
       Simulate.pp_timing t
   | Error (Tce_error.Node_crashed { rank; at }) ->
     Format.printf "replay aborted: node %d crashed at t=%.1f s@.@." rank at;
-    let report = or_die (Degrade.replan ~config_of ext tree ~healthy:plan) in
+    let req =
+      Search.request (Search.Grid (config_of grid)) (Search.Tree tree)
+    in
+    let report = or_die (Degrade.replan ext req ~healthy:plan) in
     Format.printf "%a@.@." Degrade.pp_report report
   | Error e -> or_die (Error (Tce_error.to_string e)));
   Format.printf "%a@." Fault.pp_trace faults

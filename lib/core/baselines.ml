@@ -1,17 +1,8 @@
 open! Import
-module Memmin = Tce_fusion.Memmin
 
-let fusion_free ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
-  Search.optimize ?jobs ?memo ?beam ?cancel ?pool
-    { cfg with Search.fusion_mode = Search.No_fusion }
-    ext tree
+type mode = [ `All | `None | `Memmin ]
 
-let memory_minimal ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
-  Search.optimize_min_memory ?jobs ?memo ?beam ?cancel ?pool
-    { cfg with Search.fusion_mode = Search.Enumerate }
-    ext tree
-
-let integrated ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
-  Search.optimize ?jobs ?memo ?beam ?cancel ?pool
-    { cfg with Search.fusion_mode = Search.Enumerate }
-    ext tree
+let of_mode = function
+  | `All -> (Search.Enumerate, Search.Comm)
+  | `None -> (Search.No_fusion, Search.Comm)
+  | `Memmin -> (Search.Enumerate, Search.Mem_first)

@@ -1,37 +1,24 @@
-(** The two prior-work baselines the paper positions itself against.
+(** The paper's baselines as settings of the one search.
 
-    - {!fusion_free}: communication-minimal distribution with no loop
-      fusion (the paper's earlier work, ref. [16]). Fails outright when the
+    - [`All]: the integrated search — full fusion enumeration,
+      communication objective (the paper's contribution).
+    - [`None]: communication-minimal distribution with no loop fusion
+      (the paper's earlier work, ref. [16]). Fails outright when the
       unfused intermediates exceed the memory limit — the situation that
       motivates this paper.
-    - {!memory_minimal}: minimize memory first and communication only
-      second (the discipline of refs. [14, 15], transplanted into the
-      parallel legality space — the verbatim sequential fusion is usually
-      not even Cannon-executable). Always fits if anything does, but
+    - [`Memmin]: minimize memory first and communication only second
+      (the discipline of refs. [14, 15], transplanted into the parallel
+      legality space — the verbatim sequential fusion is usually not
+      even Cannon-executable). Always fits if anything does, but
       over-fuses and pays for it in communication.
 
-    The integrated search ([Search.optimize] with [Enumerate]) dominates
-    both; the benchmark sweeps quantify by how much. *)
+    The integrated search dominates both; the benchmark sweeps quantify
+    by how much. A front end sets the pair on its request: the fusion
+    mode on the shape's config ({!Search.machine}'s [?fusion_mode]) and
+    the objective on {!Search.request}. *)
 
 open! Import
 
-(** All three baselines accept {!Search.optimize}'s [?jobs] / [?memo] /
-    [?beam] / [?cancel] / [?pool] engine knobs and forward them
-    unchanged. *)
+type mode = [ `All | `None | `Memmin ]
 
-val fusion_free :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool)
-  -> ?pool:Parsearch.t -> Search.config -> Extents.t
-  -> Tree.t -> (Plan.t, string) result
-
-val memory_minimal :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool)
-  -> ?pool:Parsearch.t -> Search.config -> Extents.t
-  -> Tree.t -> (Plan.t, string) result
-
-val integrated :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool)
-  -> ?pool:Parsearch.t -> Search.config -> Extents.t
-  -> Tree.t -> (Plan.t, string) result
-(** [Search.optimize] with full fusion enumeration regardless of the
-    config's [fusion_mode]; for symmetric comparison tables. *)
+val of_mode : mode -> Search.fusion_mode * Search.objective

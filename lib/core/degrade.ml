@@ -17,30 +17,6 @@ let survivor_grid grid =
        crashed)"
   else Grid.create ~procs:((side - 1) * (side - 1))
 
-let report_of ~healthy ~degraded ~degraded_grid =
-  let healthy_grid = healthy.Plan.grid in
-  let h = Plan.comm_cost healthy and d = Plan.comm_cost degraded in
-  {
-    healthy;
-    degraded;
-    healthy_grid;
-    degraded_grid;
-    comm_delta = d -. h;
-    comm_ratio = (if h > 0.0 then d /. h else Float.infinity);
-  }
-
-let replan ~config_of ext tree ~healthy =
-  let ( let* ) = Result.bind in
-  let* degraded_grid = survivor_grid healthy.Plan.grid in
-  let cfg = config_of degraded_grid in
-  if
-    Grid.rows cfg.Search.grid <> Grid.rows degraded_grid
-    || Grid.cols cfg.Search.grid <> Grid.cols degraded_grid
-  then Error "degrade: config_of returned a config for a different grid"
-  else
-    let* degraded = Search.optimize cfg ext tree in
-    Ok (report_of ~healthy ~degraded ~degraded_grid)
-
 let survivor_procs topo grid =
   let procs = Grid.procs grid - Topology.procs_per_node topo in
   if procs <= 0 then
@@ -48,13 +24,44 @@ let survivor_procs topo grid =
       "degrade: losing a node leaves no surviving processors to compute with"
   else Ok procs
 
-let replan_best ~config_of ~topo ext tree ~healthy =
+(* The survivor law of a request's shape: a fixed grid shrinks to the
+   next-smaller square under the analytic characterization of the same
+   machine; a shape search loses one node's ranks and searches again. *)
+let survivor_shape shape grid =
+  match shape with
+  | Search.Grid cfg ->
+    Result.map
+      (fun g ->
+        Search.Grid
+          {
+            cfg with
+            Search.grid = g;
+            rcost = Rcost.of_params cfg.Search.params ~side:(Grid.side g);
+          })
+      (survivor_grid grid)
+  | Search.Shapes s ->
+    Result.map
+      (fun procs -> Search.Shapes { s with procs })
+      (survivor_procs s.topo grid)
+
+let replan ext (req : Search.request) ~healthy =
   let ( let* ) = Result.bind in
-  let* procs = survivor_procs topo healthy.Plan.grid in
-  let* degraded =
-    Search.optimize_topology ~config_of ~topo ~procs ext tree
-  in
-  Ok (report_of ~healthy ~degraded ~degraded_grid:degraded.Plan.grid)
+  let* shape = survivor_shape req.shape healthy.Plan.grid in
+  match req.problem with
+  | Search.Sum _ -> Error "degrade: replanning covers single-tree plans"
+  | Search.Tree _ ->
+    let* degraded = Search.plan ext { req with shape } in
+    let degraded = Search.tree_plan degraded in
+    let h = Plan.comm_cost healthy and d = Plan.comm_cost degraded in
+    Ok
+      {
+        healthy;
+        degraded;
+        healthy_grid = healthy.Plan.grid;
+        degraded_grid = degraded.Plan.grid;
+        comm_delta = d -. h;
+        comm_ratio = (if h > 0.0 then d /. h else Float.infinity);
+      }
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -26,26 +26,22 @@ val survivor_grid : Grid.t -> (Grid.t, string) result
 (** The next-smaller square grid, [(side-1)²] processors; an error on a
     1×1 grid (no survivors to compute with). *)
 
-val replan :
-  config_of:(Grid.t -> Search.config) -> Extents.t -> Tree.t
-  -> healthy:Plan.t -> (report, string) result
-(** Re-run the search for [tree] on the survivor grid of the healthy
-    plan's grid. [config_of] must build a config whose [rcost]
-    characterization matches the grid it is given (the per-side
-    characterization cannot be reused across grid sizes). *)
-
 val survivor_procs : Topology.t -> Grid.t -> (int, string) result
 (** Ranks surviving the loss of one whole node
     ([procs − procs_per_node]); an error when none survive. *)
 
-val replan_best :
-  config_of:(Grid.t -> Search.config) -> topo:Topology.t -> Extents.t
-  -> Tree.t -> healthy:Plan.t -> (report, string) result
-(** Topology-aware replanning: rather than requiring the next-smaller
-    square, search every R × C factorization of the surviving rank count
-    ({!Search.optimize_topology}) and keep the cheapest shape — e.g. 12
-    ranks losing a 2-processor node replan onto the best of
-    1×10/2×5/5×2/10×1. The report's [degraded_grid] is the chosen
-    shape. *)
+val replan :
+  Extents.t -> Search.request -> healthy:Plan.t -> (report, string) result
+(** Re-plan a single-tree request after a crash, under the survivor law
+    of its shape, with its own strategy and objective:
+
+    - {!Search.Grid}: the survivor square of the healthy plan's grid,
+      priced by the analytic characterization of the config's machine
+      (a measured per-side characterization cannot be reused across grid
+      sizes);
+    - {!Search.Shapes}: every R × C factorization of the ranks left
+      after losing one node — e.g. 12 ranks at 2 processors per node
+      replan onto the best of 1×10/2×5/5×2/10×1. The report's
+      [degraded_grid] is the chosen shape. *)
 
 val pp_report : Format.formatter -> report -> unit

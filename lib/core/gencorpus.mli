@@ -63,7 +63,7 @@ val random_sum :
 val sum_fuzz : seed:int -> count:int -> sum_instance list
 (** Small random sum instances (terms, permutation, sharing family and
     extents all seeded) for the sum-level oracle and property suites —
-    sized so {!Tce_core.Search.brute_force_sum} stays feasible. *)
+    sized so {!Tce_core.Search.brute_force} stays feasible on them. *)
 
 val sum_bench_corpus : unit -> sum_instance list
 (** The fixed corpus the [sums] bench section measures: planted sharing

@@ -138,9 +138,10 @@ let simulate_step cluster ext (step : Plan.step) =
   poll_crash cluster;
   Cluster.barrier cluster
 
-let run_plan ?faults ?(overlap = Overlap.none) params ext (plan : Plan.t) =
+let run_plan ?faults ?topo ?(overlap = Overlap.none) params ext (plan : Plan.t)
+    =
   Tce_error.protect (fun () ->
-      let cluster = Cluster.create ?faults params plan.grid in
+      let cluster = Cluster.create ?faults ?topo params plan.grid in
       let procs = Grid.procs plan.grid in
       (* The replay itself is serialized exactly as before; the overlap
          law is applied to each step's (comm, compute) deltas on the

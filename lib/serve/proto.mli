@@ -13,7 +13,7 @@ type topology = [ `Uniform | `Node ]
 (** [`Uniform]: the paper's flat α–β machine on the square grid —
     byte-identical to the pre-topology daemon. [`Node]: node-aware
     shape search over every R × C factorization of [procs]
-    ({!Tce_core.Search.optimize_topology}). *)
+    (a {!Tce_core.Search.Shapes} request). *)
 
 type work = {
   expr : string;  (** problem text, {!Tce_expr.Parser.parse} syntax *)

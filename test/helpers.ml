@@ -43,6 +43,24 @@ let search_config ?mem_limit_bytes ?fusion_mode procs =
     Search.default_config ?mem_limit_bytes ?fusion_mode ~grid ~params ~rcost
       () )
 
+(* Single-tree requests on one grid, for the suites that compare the
+   strategies, baselines and oracle of the one search. *)
+let plan_tree ?strategy ?objective ?on_round cfg ext tree =
+  Result.map Search.tree_plan
+    (Search.plan ?on_round ext
+       (Search.request ?strategy ?objective (Search.Grid cfg)
+          (Search.Tree tree)))
+
+let brute_force_tree cfg ext tree =
+  Result.map Search.tree_plan
+    (Search.brute_force ext
+       (Search.request (Search.Grid cfg) (Search.Tree tree)))
+
+(* A paper baseline: a (fusion mode, objective) setting of the search. *)
+let baseline mode cfg ext tree =
+  let fusion_mode, objective = Baselines.of_mode mode in
+  plan_tree ~objective { cfg with Search.fusion_mode } ext tree
+
 let get_ok ~ctx = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "%s: unexpected error: %s" ctx msg

@@ -83,20 +83,20 @@ let test_fusion_free_infeasible_at_16 () =
   let problem, _, tree = ccsd ~scale:`Paper in
   let ext = problem.Problem.extents in
   let _, cfg = search_config 16 in
-  ignore (get_error ~ctx:"fusion-free" (Baselines.fusion_free cfg ext tree));
+  ignore (get_error ~ctx:"fusion-free" (baseline `None cfg ext tree));
   (* ... but feasible at 64 processors, where it matches the integrated
      search (no fusion is needed there). *)
   let _, cfg64 = search_config 64 in
-  let free = get_ok ~ctx:"free@64" (Baselines.fusion_free cfg64 ext tree) in
-  let integrated = get_ok ~ctx:"int@64" (Baselines.integrated cfg64 ext tree) in
+  let free = get_ok ~ctx:"free@64" (baseline `None cfg64 ext tree) in
+  let integrated = get_ok ~ctx:"int@64" (baseline `All cfg64 ext tree) in
   check_close ~ctx:"same optimum" (Plan.comm_cost integrated) (Plan.comm_cost free)
 
 let test_memmin_baseline_worse () =
   let problem, _, tree = ccsd ~scale:`Paper in
   let ext = problem.Problem.extents in
   let _, cfg = search_config 16 in
-  let memfirst = get_ok ~ctx:"memmin" (Baselines.memory_minimal cfg ext tree) in
-  let integrated = get_ok ~ctx:"integrated" (Baselines.integrated cfg ext tree) in
+  let memfirst = get_ok ~ctx:"memmin" (baseline `Memmin cfg ext tree) in
+  let integrated = get_ok ~ctx:"integrated" (baseline `All cfg ext tree) in
   Alcotest.(check bool) "integrated communicates no more" true
     (Plan.comm_cost integrated <= Plan.comm_cost memfirst +. 1e-9);
   Alcotest.(check bool) "and strictly less here" true
@@ -129,7 +129,7 @@ S[a,d]   = sum[b,c] T[a,b,c] * Z[b,c,d]
       let ext = problem.Problem.extents in
       let _, cfg = search_config 4 in
       let opt = get_ok ~ctx:"opt" (Search.optimize cfg ext tree) in
-      let brute = get_ok ~ctx:"brute" (Search.brute_force cfg ext tree) in
+      let brute = get_ok ~ctx:"brute" (brute_force_tree cfg ext tree) in
       check_close ~ctx:"same optimum" (Plan.comm_cost brute)
         (Plan.comm_cost opt))
     texts
@@ -264,7 +264,7 @@ S[a,d]   = sum[b,c] T[a,b,c] * Z[b,c,d]
       Prng.float_range rng ~lo:20_000.0 ~hi:400_000.0
     in
     let _, cfg = search_config ~mem_limit_bytes:limit 4 in
-    match (Search.optimize cfg ext tree, Search.brute_force cfg ext tree) with
+    match (Search.optimize cfg ext tree, brute_force_tree cfg ext tree) with
     | Error _, Error _ -> ()
     | Ok opt, Ok brute ->
       if Float.abs (Plan.comm_cost opt -. Plan.comm_cost brute) > 1e-9 then
