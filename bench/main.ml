@@ -437,21 +437,14 @@ let validate () =
       match Search.optimize cfg ext tree with
       | Error msg -> Format.printf "P=%d: optimization failed: %s@." procs msg
       | Ok plan ->
-        let simulated = Numeric.run_plan grid ext plan ~inputs in
-        let ok = Dense.equal_approx ~tol:1e-9 reference simulated in
+        let parallel = Multicore.run_plan grid ext plan ~inputs in
+        let ok = Dense.equal_approx ~tol:1e-9 reference parallel in
         let timing = Simulate.run_plan_exn params ext plan in
         Format.printf
-          "P=%3d: simulated execution matches reference: %b; replayed comm \
+          "P=%3d: %d-domain execution matches reference: %b; replayed comm \
            %.4f s vs model %.4f s@."
-          procs ok timing.Simulate.comm_seconds (Plan.comm_cost plan))
+          procs procs ok timing.Simulate.comm_seconds (Plan.comm_cost plan))
     [ 1; 4; 16 ];
-  let grid, cfg = config 4 in
-  (match Search.optimize cfg ext tree with
-  | Error msg -> Format.printf "multicore: optimization failed: %s@." msg
-  | Ok plan ->
-    let parallel = Multicore.run_plan grid ext plan ~inputs in
-    Format.printf "P=  4: real 4-domain execution matches reference: %b@."
-      (Dense.equal_approx ~tol:1e-9 reference parallel));
   let mm = Memmin.minimize ext tree in
   let fusions name =
     Index.set_of_list
@@ -708,28 +701,17 @@ let kernels () =
         [ "m"; "x" ],
         mk [ ("m", 32); ("k", 64); ("x", 64) ],
         mk [ ("k", 64); ("x", 64) ] );
-      (* Large near-square matmul where the opt-in Strassen path engages
-         (crossover forced to 32 so three recursion levels run). *)
-      ( "strassen-256",
-        [ "m"; "n" ],
-        mk [ ("m", 256); ("k", 256) ],
-        mk [ ("k", 256); ("n", 256) ] );
     ]
   in
   let path_name = function
     | Kernel.Gemm -> "gemm"
     | Kernel.Hadamard -> "hadamard"
     | Kernel.Dot -> "dot"
-    | Kernel.Strassen -> "strassen"
     | Kernel.Walk -> "walk"
   in
   let rows =
     List.map
       (fun (name, out_names, a, b) ->
-        let strassen = String.starts_with ~prefix:"strassen" name in
-        if strassen then Kernel.set_strassen ~crossover:32 true;
-        Fun.protect ~finally:(fun () -> Kernel.set_strassen false)
-        @@ fun () ->
         let out = List.map Index.v out_names in
         let flops = Einsum.flops_contract2 ~out a b in
         let kernel_s = time_of (fun () -> Einsum.contract2 ~out a b) in
@@ -788,14 +770,14 @@ let kernels () =
              \"kernel_seconds\": %.6e, \"ref_gflops\": %.4f, \
              \"kernel_gflops\": %.4f, \"speedup\": %.2f, \
              \"microkernel\": %b, \"path\": %S, \"packed\": %b, \
-             \"strassen\": %b, \"gc_minor_words\": %.0f, \
+             \"gc_minor_words\": %.0f, \
              \"gc_major_words\": %.0f, \"acc_alloc_bytes\": %.0f, \
              \"out_bytes\": %d}%s\n"
             name flops ref_s kernel_s
             (float_of_int flops /. ref_s /. 1e9)
             (float_of_int flops /. kernel_s /. 1e9)
-            (ref_s /. kernel_s) micro (path_name kpath) packed
-            (kpath = Kernel.Strassen) minor_w major_w acc_alloc out_bytes
+            (ref_s /. kernel_s) micro (path_name kpath) packed minor_w major_w
+            acc_alloc out_bytes
             (if k = List.length rows - 1 then "" else ","))
         rows;
       p "  ]\n}\n");
@@ -805,18 +787,18 @@ let kernels () =
 (* SPMD engine benchmarks                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Times whole-plan execution on real domains under the engine's four
-   mode corners — {spawn-per-step, pooled} x {serialized, overlapped} —
-   on 2x2 and 3x3 grids, checks the schedules produce bit-identical
-   outputs, and writes BENCH_spmd.json. The CCSD plan has 3 contraction
-   steps, so spawn-per-step pays three team spawns per run where the
-   pooled engine pays one per plan. *)
+(* Times whole-plan execution of the small CCSD plan on real domains,
+   on one persistent pool per grid, on 1x2, 2x2 and 3x3 grids; checks
+   each output against the sequential reference, records the host's core
+   count, flags grids with more ranks than cores as oversubscribed, and
+   writes BENCH_spmd.json. *)
 let spmd () =
-  section "SPMD engine: pooled + double-buffered Cannon vs spawn-per-step";
+  section "SPMD engine: pooled Cannon on 1x2, 2x2 and 3x3 grids";
   let problem, seq, tree = load ccsd_small_text in
   let ext = problem.Problem.extents in
   let inputs = Sequence.random_inputs ext ~seed:20260806 seq in
   let reference = Sequence.eval ext ~inputs seq in
+  let host_cores = Domain.recommended_domain_count () in
   (* Wall clock, not [Sys.time]: domain CPU time sums across cores. *)
   let wall_of ?(reps = 5) f =
     ignore (f ());
@@ -828,59 +810,44 @@ let spmd () =
     done;
     !best
   in
-  let bits_equal = Dense.bits_equal in
-  let modes =
-    [
-      ("spawn-serialized", false, Multicore.Serialized);
-      ("spawn-overlapped", false, Multicore.Overlapped);
-      ("pooled-serialized", true, Multicore.Serialized);
-      ("pooled-overlapped", true, Multicore.Overlapped);
-    ]
-  in
   let rows =
-    List.concat_map
-      (fun procs ->
-        let grid, cfg = config procs in
-        let side = Grid.side grid in
+    List.map
+      (fun (r, c) ->
+        let grid = Grid.create_rect_exn ~rows:r ~cols:c in
+        let cfg =
+          Search.default_config ~grid ~params
+            ~rcost:(Rcost.of_topology (Topology.uniform params) grid)
+            ()
+        in
         let plan = Result.get_ok (Search.optimize cfg ext tree) in
-        let steps = List.length plan.Plan.steps in
-        let run ~pooled ~schedule () =
-          Multicore.run_plan ~pooled ~schedule grid ext plan ~inputs
-        in
-        let baseline_out = run ~pooled:false ~schedule:Multicore.Serialized () in
-        assert (Dense.equal_approx ~tol:1e-9 reference baseline_out);
-        let baseline_s =
-          wall_of (run ~pooled:false ~schedule:Multicore.Serialized)
-        in
-        List.map
-          (fun (name, pooled, schedule) ->
-            let out = run ~pooled ~schedule () in
-            let identical = bits_equal baseline_out out in
-            let seconds =
-              if pooled = false && schedule = Multicore.Serialized then
-                baseline_s
-              else wall_of (run ~pooled ~schedule)
-            in
-            Format.printf
-              "%dx%d %-18s %9.2f ms/plan  speedup %5.2fx  bit-identical %b@."
-              side side name (1e3 *. seconds) (baseline_s /. seconds)
-              identical;
-            (Printf.sprintf "%dx%d" side side, steps, name, seconds,
-             baseline_s /. seconds, identical))
-          modes)
-      [ 4; 9 ]
+        let procs = Grid.procs grid in
+        Spmd.with_pool ~procs (fun pool ->
+            let run () = Multicore.run_plan ~pool grid ext plan ~inputs in
+            let matches = Dense.equal_approx ~tol:1e-9 reference (run ()) in
+            let seconds = wall_of run in
+            let over = procs > host_cores in
+            Format.printf "%dx%d %9.2f ms/plan  matches reference %b%s@." r c
+              (1e3 *. seconds) matches
+              (if over then "  (oversubscribed)" else "");
+            ( Printf.sprintf "%dx%d" r c,
+              List.length plan.Plan.steps,
+              seconds,
+              over,
+              matches )))
+      [ (1, 2); (2, 2); (3, 3) ]
   in
   let path = "BENCH_spmd.json" in
   Out_channel.with_open_text path (fun oc ->
       let p fmt = Printf.fprintf oc fmt in
-      p "{\n  \"benchmark\": \"spmd\",\n  \"cases\": [\n";
+      p "{\n  \"benchmark\": \"spmd\",\n  \"host_cores\": %d,\n  \"cases\": [\n"
+        host_cores;
       List.iteri
-        (fun k (grid, steps, name, seconds, speedup, identical) ->
+        (fun k (grid, steps, seconds, over, matches) ->
           p
-            "    {\"grid\": %S, \"plan_steps\": %d, \"mode\": %S, \
-             \"seconds\": %.6e, \"speedup_vs_spawn_serialized\": %.3f, \
-             \"bit_identical_to_baseline\": %b}%s\n"
-            grid steps name seconds speedup identical
+            "    {\"grid\": %S, \"plan_steps\": %d, \"seconds\": %.6e, \
+             \"host_cores\": %d, \"oversubscribed\": %b, \
+             \"matches_reference\": %b}%s\n"
+            grid steps seconds host_cores over matches
             (if k = List.length rows - 1 then "" else ","))
         rows;
       p "  ]\n}\n");

@@ -192,18 +192,22 @@ let fault_scenario ~seed ~topo ~params ~ext ~plan ~replan =
 (* The traced extras behind [--trace]: replay the plan on the simulated
    cluster (sim-clock spans for every shift round, rotation, redistribution
    and compute) and run a scaled-down real SPMD execution so the trace also
-   carries per-rank wall-clock spans. *)
-let traced_runs ~topo ~params ~procs ~ext ~tree ~plan ~overlap =
+   carries per-rank wall-clock spans. The execution runs on the searched
+   plan's own shape with each axis clamped to 3 (a square request keeps
+   its [min P 9] grid), planned on the request's topology. *)
+let traced_runs ~topo ~params ~ext ~tree ~plan ~overlap =
   ignore
     (or_die_tce (Simulate.run_plan ?topo ~overlap params ext plan)
       : Simulate.timing);
-  let procs' = min procs 9 in
-  let grid' = or_die (Grid.create ~procs:procs') in
-  let side' = Grid.side grid' in
+  let rows = min 3 (Grid.rows plan.Plan.grid)
+  and cols = min 3 (Grid.cols plan.Plan.grid) in
+  let grid' = Grid.create_rect_exn ~rows ~cols in
   let ext' =
-    Extents.scale ext ~factor_num:1 ~factor_den:40 ~min_extent:(max 2 side')
+    Extents.scale ext ~factor_num:1 ~factor_den:40
+      ~min_extent:(max 2 (max rows cols))
   in
-  let rcost' = Rcost.of_params params ~side:side' in
+  let topo' = Option.value topo ~default:(Topology.uniform params) in
+  let rcost' = Rcost.of_topology topo' grid' in
   let cfg' = Search.default_config ~grid:grid' ~params ~rcost:rcost' () in
   let plan' = or_die (Search.optimize cfg' ext' tree) in
   let seq = or_die (Tree.to_sequence tree) in
@@ -213,7 +217,7 @@ let traced_runs ~topo ~params ~procs ~ext ~tree ~plan ~overlap =
 (* Everything printed after a single-tree plan is found: the plan, the
    paper-style table, the overlap law, and the --code/--faults/--trace
    extras, replayed on the request's topology. *)
-let report_plan ~topo ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor
+let report_plan ~topo ~params ~ext ~tree ~plan ~code ~overlap_factor
     ~faults ~trace ~sink ~replan =
   Format.printf "%a@.@.%a@.%s@." Plan.pp plan Table.pp
     (Exptables.plan_table plan)
@@ -232,7 +236,7 @@ let report_plan ~topo ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor
     faults;
   match (trace, sink) with
   | Some path, Some sink ->
-    traced_runs ~topo ~params ~procs ~ext ~tree ~plan ~overlap;
+    traced_runs ~topo ~params ~ext ~tree ~plan ~overlap;
     Obs.uninstall ();
     or_die (Obs.write_chrome_json sink ~path);
     Format.printf "wrote %s (%d trace events, %d dropped)@." path
@@ -301,7 +305,7 @@ let optimize_cmd =
     in
     match (problem, outcome) with
     | Search.Tree tree, Search.Tree_plan plan ->
-      report_plan ~topo ~params ~procs ~ext ~tree ~plan ~code ~overlap_factor
+      report_plan ~topo ~params ~ext ~tree ~plan ~code ~overlap_factor
         ~faults ~trace ~sink
         ~replan:(fun ~healthy -> Degrade.replan ext req ~healthy)
     | _, Search.Sum_plan s ->
@@ -431,9 +435,6 @@ let validate_cmd =
     let seq = or_die (Tree.to_sequence tree) in
     let inputs = Sequence.random_inputs ext ~seed:20260705 seq in
     let reference = Sequence.eval ext ~inputs seq in
-    let unfused = Numeric.run_plan grid ext plan ~inputs in
-    Format.printf "simulated cluster execution matches reference: %b@."
-      (Dense.equal_approx ~tol:1e-9 reference unfused);
     let fused = Fusedexec.run_plan grid ext plan ~inputs in
     Format.printf
       "fused distributed execution matches reference:    %b (%d sliced \
@@ -453,7 +454,7 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Numerically validate the optimized plan for a problem at \
-             scaled-down extents (simulator, fused executor, domains).")
+             scaled-down extents (fused executor, domains, replay).")
     Term.(const run $ file_arg $ procs_arg $ div_arg)
 
 (* ---------------- trace-check ---------------- *)

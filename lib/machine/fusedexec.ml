@@ -206,7 +206,7 @@ let run_plan grid ext (plan : Plan.t) ~inputs =
     in
     let out_slab = zero_slab grid ext ~alpha:alpha_out ~stored:stored_out in
     account (slab_words out_slab);
-    let sched = Schedule.make variant ~side in
+    let sched = Schedule.make variant grid in
     iter_assignments ext extra ~base:sigma (fun assign ->
         (* Operand slabs for this iteration, at home placement in the
            role's distribution. *)

@@ -1,6 +1,6 @@
 (** Numeric execution of plans {e with their fusion structure}.
 
-    Where [Numeric] validates the Cannon schedules with fully materialized
+    Where [Multicore] runs the Cannon schedules with fully materialized
     intermediates, this executor runs the plan the way the generated
     parallel code would: fusion-reduced intermediates are stored slice-wise
     per processor, every fused loop iteration performs its own (sliced)

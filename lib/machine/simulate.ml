@@ -42,8 +42,7 @@ let simulate_step cluster ext (step : Plan.step) =
      size instead (the same size the cost model and the memory account
      use), over [Grid.rotation_steps] rounds per rotation. *)
   let sched =
-    if Grid.is_square grid then
-      Some (Schedule.make step.variant ~side:(Grid.side grid))
+    if Grid.is_square grid then Some (Schedule.make step.variant grid)
     else None
   in
   let rows = Grid.rows grid and cols = Grid.cols grid in

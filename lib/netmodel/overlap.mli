@@ -2,12 +2,11 @@
 
     The paper's per-step cost is strictly additive: a Cannon step pays its
     rotation time plus its multiply time, because the reference
-    implementation serializes shift-then-multiply. An engine that posts
-    the next step's block sends before the multiply (see
-    [Multicore.Overlapped]) hides part of the transit behind the
-    arithmetic; node-aware distributed contraction work (Irmler et al.)
-    exploits exactly this lever. This module is the model-side knob: a
-    per-step cost law
+    implementation serializes shift-then-multiply, as [Multicore] does.
+    An engine that posts the next step's block sends before the multiply
+    would hide part of the transit behind the arithmetic; node-aware
+    distributed contraction work (Irmler et al.) exploits exactly this
+    lever. This module is the model-side knob: a per-step cost law
 
     {v cost = max(comm, compute) + factor · min(comm, compute) v}
 

@@ -1,17 +1,5 @@
 open! Import
 
-type schedule = Serialized | Overlapped
-
-let block_ranges grid ext ~alpha ~dims ~b1 ~b2 =
-  List.map
-    (fun i ->
-      let extent = Extents.extent ext i in
-      match Dist.position_of alpha i with
-      | Some 1 -> (i, Grid.myrange grid ~axis:1 ~extent ~coord:b1)
-      | Some 2 -> (i, Grid.myrange grid ~axis:2 ~extent ~coord:b2)
-      | _ -> (i, (0, extent)))
-    dims
-
 let check_extents grid ext variant =
   List.iter
     (fun role ->
@@ -57,46 +45,57 @@ let gather_blocks_disjoint blocks =
   done;
   !ok
 
-let run_contraction_square ?pool ~schedule ?recv_timeout_s grid ext variant
-    ~left ~right =
-  let side = Grid.side grid in
-  let sched = Schedule.make variant ~side in
-  let out_aref = Variant.aref_of variant Variant.Out in
-  let out_alpha = Variant.dist_of variant Variant.Out in
+(* Generalized Cannon on domains (DESIGN.md §17), one body for every
+   grid shape: [Schedule] says which block each rank holds at step 0,
+   which roles it exchanges after each step and the ω window it
+   multiplies over; this function only moves blocks and multiplies. Each
+   step multiplies over the window, so every logical contribution is
+   computed exactly once; when a rotated output block's ω range strictly
+   contains the window, the product lands in a temporary and accumulates
+   at an offset. Steps are serialized: multiply, then exchange. *)
+let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
+  check_extents grid ext variant;
+  check_pool grid pool;
+  if Obs.enabled () then begin
+    Obs.count "multicore.contractions";
+    for r = 0 to Grid.procs grid - 1 do
+      Obs.set_thread_name ~pid:Obs.wall_pid ~tid:r
+        (Printf.sprintf "rank %d" r)
+    done
+  end;
+  let sched = Schedule.make variant grid in
+  let steps = Schedule.steps sched in
+  let omega = Variant.rot_index variant in
+  let out_dims = Aref.indices (Variant.aref_of variant Variant.Out) in
   let result =
-    Dense.create
-      (List.map (fun i -> (i, Extents.extent ext i)) (Aref.indices out_aref))
+    Dense.create (List.map (fun i -> (i, Extents.extent ext i)) out_dims)
   in
   (* Each rank's final-step output block, precomputed so the disjointness
      backing the lock-free gather is checkable before any domain runs. *)
   let gather =
     Array.init (Grid.procs grid) (fun r ->
         let z1, z2 = Grid.coord_of grid r in
-        let b1, b2 =
-          Schedule.block_at sched Variant.Out ~step:(side - 1) ~z1 ~z2
-        in
-        block_ranges grid ext ~alpha:out_alpha ~dims:(Aref.indices out_aref)
-          ~b1 ~b2)
+        Schedule.block_ranges sched ext Variant.Out ~dims:out_dims
+          ~step:(steps - 1) ~z1 ~z2)
   in
   assert (gather_blocks_disjoint gather);
   let worker ctx =
     let my = Spmd.rank ctx in
     let z1, z2 = Grid.coord_of grid my in
-    let block_of role full ~step =
-      let b1, b2 = Schedule.block_at sched role ~step ~z1 ~z2 in
-      let alpha = Variant.dist_of variant role in
-      Dense.block full
-        (block_ranges grid ext ~alpha ~dims:(Dense.labels full) ~b1 ~b2)
+    let home role ~dims =
+      Schedule.block_ranges sched ext role ~dims ~step:0 ~z1 ~z2
     in
-    let my_left = ref (block_of Variant.Left left ~step:0) in
-    let my_right = ref (block_of Variant.Right right ~step:0) in
+    let slice role full =
+      ref (Dense.block full (home role ~dims:(Dense.labels full)))
+    in
+    let my_left = slice Variant.Left left in
+    let my_right = slice Variant.Right right in
     let my_out =
-      let b1, b2 = Schedule.block_at sched Variant.Out ~step:0 ~z1 ~z2 in
-      let ranges =
-        block_ranges grid ext ~alpha:out_alpha ~dims:(Aref.indices out_aref)
-          ~b1 ~b2
-      in
-      ref (Dense.create (List.map (fun (i, (_, len)) -> (i, len)) ranges))
+      ref
+        (Dense.create
+           (List.map
+              (fun (i, (_, len)) -> (i, len))
+              (home Variant.Out ~dims:out_dims)))
     in
     let cell_of role =
       match role with
@@ -104,70 +103,62 @@ let run_contraction_square ?pool ~schedule ?recv_timeout_s grid ext variant
       | Variant.Right -> my_right
       | Variant.Out -> my_out
     in
-    (* Accumulate each Cannon step straight into the rank's output block:
-       no per-step delta tensor, no [Einsum.add]. Received operand blocks
-       arrive by reference through the shared-heap Spmd mailbox, so a
-       step's only allocation is the mailbox cell itself. *)
-    let multiply_impl () =
-      Einsum.contract2_acc ~into:!my_out !my_left !my_right
+    (* Accumulate each step straight into the rank's output block: no
+       per-step delta tensor, no [Einsum.add]. Received blocks arrive by
+       reference through the shared-heap Spmd mailbox. *)
+    let multiply_impl ~step =
+      match Schedule.window sched ext ~step ~z1 ~z2 with
+      | None -> ()
+      | Some (lo, len) ->
+        let held role = Schedule.omega_range sched ext role ~step ~z1 ~z2 in
+        (* Restrict a rotated operand to the window; a no-op (no copy)
+           when it holds exactly the window. *)
+        let operand role =
+          let blk = !(cell_of role) in
+          if not (Variant.rotates variant role) then blk
+          else
+            let off, n = held role in
+            if off = lo && n = len then blk
+            else Dense.block blk [ (omega, (lo - off, len)) ]
+        in
+        let lhs = operand Variant.Left and rhs = operand Variant.Right in
+        let out_off, out_len =
+          if Variant.rotates variant Variant.Out then held Variant.Out
+          else (lo, len)
+        in
+        if out_off = lo && out_len = len then
+          Einsum.contract2_acc ~into:!my_out lhs rhs
+        else begin
+          let tmp =
+            Dense.create
+              (List.map
+                 (fun (i, n) -> (i, if Index.equal i omega then len else n))
+                 (Dense.dims !my_out))
+          in
+          Einsum.contract2_acc ~into:tmp lhs rhs;
+          Dense.add_block !my_out [ (omega, lo - out_off) ] tmp
+        end
     in
-    let multiply () =
+    let multiply ~step =
       if Obs.enabled () then
-        Obs.span ~cat:"compute" ~tid:my "multiply" multiply_impl
-      else multiply_impl ()
+        Obs.span ~cat:"compute" ~tid:my "multiply" (fun () ->
+            multiply_impl ~step)
+      else multiply_impl ~step
     in
     (* Blocks move one hop toward the lower coordinate. *)
-    let dst_of axis = Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by:(-1)) in
-    let src_of axis = Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by:1) in
     let exchange (role, axis) =
+      let neighbour by =
+        Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by)
+      in
       let cell = cell_of role in
       cell :=
-        Spmd.sendrecv ?timeout_s:recv_timeout_s ctx ~dst:(dst_of axis) !cell
-          ~src:(src_of axis)
+        Spmd.sendrecv ?timeout_s:recv_timeout_s ctx ~dst:(neighbour (-1))
+          !cell ~src:(neighbour 1)
     in
-    let rotated = Variant.rotated variant in
-    (match schedule with
-    | Serialized ->
-      multiply ();
-      for _step = 1 to side - 1 do
-        List.iter exchange rotated;
-        multiply ()
-      done
-    | Overlapped ->
-      (* Double-buffered Cannon: operand blocks are read-only in the
-         multiply, so their sends for the next shift are posted {e
-         before} it — the message is in the peer's mailbox (and, under a
-         fault model, its retry latency is running) while this rank
-         computes, and the post-multiply receive usually completes
-         immediately. A rotated {e output} block is being written by the
-         multiply, so it still exchanges strictly between multiplies.
-         The blocks multiplied at every step are identical to the
-         serialized schedule's, so results are bit-identical. *)
-      let out_moves, operand_moves =
-        List.partition
-          (fun (role, _) -> Variant.role_equal role Variant.Out)
-          rotated
-      in
-      let post_sends () =
-        List.iter
-          (fun (role, axis) -> Spmd.send ctx ~dst:(dst_of axis) !(cell_of role))
-          operand_moves
-      in
-      let recv_operands () =
-        List.iter
-          (fun (role, axis) ->
-            cell_of role
-            := Spmd.recv ?timeout_s:recv_timeout_s ctx ~src:(src_of axis))
-          operand_moves
-      in
-      if side > 1 then post_sends ();
-      multiply ();
-      for step = 1 to side - 1 do
-        List.iter exchange out_moves;
-        recv_operands ();
-        if step < side - 1 then post_sends ();
-        multiply ()
-      done);
+    for step = 0 to steps - 1 do
+      multiply ~step;
+      List.iter exchange (Schedule.shifts_after sched ~step ~z1 ~z2)
+    done;
     (* Gather: each domain writes its (possibly displaced) output block.
        The blocks tile [result] disjointly (asserted above), so the
        stride-walk writes need no lock; the join/completion handshake
@@ -190,223 +181,7 @@ let run_contraction_square ?pool ~schedule ?recv_timeout_s grid ext variant
   in
   result
 
-(* Rectangular Cannon (DESIGN.md §17). The square skew cannot align three
-   roles on an R×C torus, so the rotation index ω is chunked twice: at
-   rows granularity for the role rotating along axis 1 and at cols
-   granularity along axis 2. [Grid.myrange]'s floor-proportional partition
-   makes the finer chunking (longer axis) nest inside the coarser exactly
-   when one axis length divides the other; then a skewed single-pass
-   schedule of [nfine] slots works — the fine role shifts every slot, the
-   coarse role shifts each time the fine chunk crosses a coarse boundary
-   (a per-ring condition, identical for both partners of a coarse-axis
-   exchange). Otherwise a doubly-nested sweep of [ncoarse * nfine] slots
-   visits every (fine, coarse) chunk pair once. Either way each slot
-   multiplies over the intersection of the two held ω-ranges, so every
-   logical contribution is computed exactly once; when the rotated output
-   block's ω-range strictly contains the intersection the product lands in
-   a temporary and accumulates at an offset. Slot counts match
-   [Grid.rotation_steps] (up to the same final-shift elision as the square
-   path). Rectangular runs are always serialized — double-buffering is a
-   square-path optimization. *)
-let run_contraction_rect ?pool ?recv_timeout_s grid ext variant ~left ~right =
-  let rows = Grid.rows grid and cols = Grid.cols grid in
-  let fine_axis = if rows >= cols then 1 else 2 in
-  let coarse_axis = 3 - fine_axis in
-  let nfine = max rows cols and ncoarse = min rows cols in
-  let divisible = nfine mod ncoarse = 0 in
-  let m = nfine / ncoarse in
-  let slots = if divisible then nfine else ncoarse * nfine in
-  let omega = Variant.rot_index variant in
-  let n_omega = Extents.extent ext omega in
-  let fine_role, coarse_role =
-    match Variant.rotated variant with
-    | [ (r1, a1); (r2, _) ] -> if a1 = fine_axis then (r1, r2) else (r2, r1)
-    | _ -> assert false
-  in
-  (* ω chunks held by the fine and coarse rotating roles at slot [t], for
-     the rank whose fine/coarse-axis coordinates are [zf]/[zc]. *)
-  let chunks ~zf ~zc ~t =
-    if divisible then
-      let qf = (zf + (m * zc) + t) mod nfine in
-      (qf, qf / m)
-    else ((zf + (t mod nfine)) mod nfine, (zc + (t / nfine)) mod ncoarse)
-  in
-  let coarse_rotates_after ~zf ~t =
-    if divisible then (zf + t + 1) mod m = 0 else (t + 1) mod nfine = 0
-  in
-  let block_coords role ~z1 ~z2 ~t =
-    if Variant.role_equal role (Variant.fixed_role variant) then (z1, z2)
-    else begin
-      let zf = if fine_axis = 1 then z1 else z2 in
-      let zc = if fine_axis = 1 then z2 else z1 in
-      let qf, qc = chunks ~zf ~zc ~t in
-      let axis, q =
-        if Variant.role_equal role fine_role then (fine_axis, qf)
-        else (coarse_axis, qc)
-      in
-      if axis = 1 then (q, z2) else (z1, q)
-    end
-  in
-  let out_aref = Variant.aref_of variant Variant.Out in
-  let out_alpha = Variant.dist_of variant Variant.Out in
-  let result =
-    Dense.create
-      (List.map (fun i -> (i, Extents.extent ext i)) (Aref.indices out_aref))
-  in
-  let gather =
-    Array.init (Grid.procs grid) (fun r ->
-        let z1, z2 = Grid.coord_of grid r in
-        let b1, b2 = block_coords Variant.Out ~z1 ~z2 ~t:(slots - 1) in
-        block_ranges grid ext ~alpha:out_alpha ~dims:(Aref.indices out_aref)
-          ~b1 ~b2)
-  in
-  assert (gather_blocks_disjoint gather);
-  let worker ctx =
-    let my = Spmd.rank ctx in
-    let z1, z2 = Grid.coord_of grid my in
-    let zf = if fine_axis = 1 then z1 else z2 in
-    let zc = if fine_axis = 1 then z2 else z1 in
-    let slice_role role full ~t =
-      let b1, b2 = block_coords role ~z1 ~z2 ~t in
-      let alpha = Variant.dist_of variant role in
-      Dense.block full
-        (block_ranges grid ext ~alpha ~dims:(Dense.labels full) ~b1 ~b2)
-    in
-    let my_left = ref (slice_role Variant.Left left ~t:0) in
-    let my_right = ref (slice_role Variant.Right right ~t:0) in
-    let my_out =
-      let b1, b2 = block_coords Variant.Out ~z1 ~z2 ~t:0 in
-      let ranges =
-        block_ranges grid ext ~alpha:out_alpha ~dims:(Aref.indices out_aref)
-          ~b1 ~b2
-      in
-      ref (Dense.create (List.map (fun (i, (_, len)) -> (i, len)) ranges))
-    in
-    let cell_of role =
-      match role with
-      | Variant.Left -> my_left
-      | Variant.Right -> my_right
-      | Variant.Out -> my_out
-    in
-    let multiply_impl ~t =
-      let qf, qc = chunks ~zf ~zc ~t in
-      let off_f, len_f =
-        Grid.myrange grid ~axis:fine_axis ~extent:n_omega ~coord:qf
-      in
-      let off_c, len_c =
-        Grid.myrange grid ~axis:coarse_axis ~extent:n_omega ~coord:qc
-      in
-      let lo = max off_f off_c
-      and hi = min (off_f + len_f) (off_c + len_c) in
-      if hi > lo then begin
-        let olen = hi - lo in
-        (* Restrict a rotating role's block to the ω intersection; a no-op
-           (no copy) when its held range already is the intersection. *)
-        let slice_omega role blk =
-          let off, len =
-            if Variant.role_equal role fine_role then (off_f, len_f)
-            else (off_c, len_c)
-          in
-          if off = lo && len = olen then blk
-          else Dense.block blk [ (omega, (lo - off, olen)) ]
-        in
-        match Variant.fixed_role variant with
-        | Variant.Out ->
-          Einsum.contract2_acc ~into:!my_out
-            (slice_omega Variant.Left !my_left)
-            (slice_omega Variant.Right !my_right)
-        | fixed ->
-          let lhs =
-            if Variant.role_equal fixed Variant.Left then !my_left
-            else slice_omega Variant.Left !my_left
-          in
-          let rhs =
-            if Variant.role_equal fixed Variant.Right then !my_right
-            else slice_omega Variant.Right !my_right
-          in
-          let out_off, out_len =
-            if Variant.role_equal Variant.Out fine_role then (off_f, len_f)
-            else (off_c, len_c)
-          in
-          if out_off = lo && out_len = olen then
-            Einsum.contract2_acc ~into:!my_out lhs rhs
-          else begin
-            let tmp =
-              Dense.create
-                (List.map
-                   (fun (i, n) ->
-                     (i, if Index.equal i omega then olen else n))
-                   (Dense.dims !my_out))
-            in
-            Einsum.contract2_acc ~into:tmp lhs rhs;
-            Dense.add_block !my_out [ (omega, lo - out_off) ] tmp
-          end
-      end
-    in
-    let multiply ~t =
-      if Obs.enabled () then
-        Obs.span ~cat:"compute" ~tid:my "multiply" (fun () ->
-            multiply_impl ~t)
-      else multiply_impl ~t
-    in
-    let dst_of axis =
-      Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by:(-1))
-    in
-    let src_of axis =
-      Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by:1)
-    in
-    let exchange role axis =
-      if Grid.axis_len grid ~axis > 1 then begin
-        let cell = cell_of role in
-        cell :=
-          Spmd.sendrecv ?timeout_s:recv_timeout_s ctx ~dst:(dst_of axis)
-            !cell ~src:(src_of axis)
-      end
-    in
-    for t = 0 to slots - 1 do
-      multiply ~t;
-      if t < slots - 1 then begin
-        exchange fine_role fine_axis;
-        if coarse_rotates_after ~zf ~t then exchange coarse_role coarse_axis
-      end
-    done;
-    let offsets =
-      List.filter_map
-        (fun (i, (off, _)) -> if off = 0 then None else Some (i, off))
-        gather.(my)
-    in
-    (if Obs.enabled () then
-       Obs.span ~cat:"compute" ~tid:my "gather" (fun () ->
-           Dense.set_block result offsets !my_out)
-     else Dense.set_block result offsets !my_out);
-    Spmd.barrier ctx
-  in
-  let (_ : unit array) =
-    match pool with
-    | Some pool -> Spmd.Pool.run pool worker
-    | None -> Spmd.run ~procs:(Grid.procs grid) worker
-  in
-  result
-
-let run_contraction ?pool ?(schedule = Overlapped) ?recv_timeout_s grid ext
-    variant ~left ~right =
-  check_extents grid ext variant;
-  check_pool grid pool;
-  if Obs.enabled () then begin
-    Obs.count "multicore.contractions";
-    for r = 0 to Grid.procs grid - 1 do
-      Obs.set_thread_name ~pid:Obs.wall_pid ~tid:r
-        (Printf.sprintf "rank %d" r)
-    done
-  end;
-  if Grid.is_square grid then
-    run_contraction_square ?pool ~schedule ?recv_timeout_s grid ext variant
-      ~left ~right
-  else
-    run_contraction_rect ?pool ?recv_timeout_s grid ext variant ~left ~right
-
-let run_plan ?pool ?(pooled = true) ?schedule ?recv_timeout_s
-    ?(free_intermediates = true) ?on_free grid ext (plan : Plan.t) ~inputs =
+let run_plan ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t) ~inputs =
   check_pool grid pool;
   if plan.steps = [] then Tce_error.failf "Multicore.run_plan: plan has no steps";
   let env = Hashtbl.create 16 in
@@ -421,21 +196,16 @@ let run_plan ?pool ?(pooled = true) ?schedule ?recv_timeout_s
      env entries are dropped after their last consumption (the caller
      keeps its own references to inputs; intermediates become garbage). *)
   let dying = Array.make (List.length plan.steps) [] in
-  if free_intermediates then begin
-    let last_use = Hashtbl.create 16 in
-    List.iteri
-      (fun k (step : Plan.step) ->
-        Hashtbl.replace last_use
-          (Aref.name step.contraction.Contraction.left) k;
-        Hashtbl.replace last_use
-          (Aref.name step.contraction.Contraction.right) k)
-      plan.steps;
-    Hashtbl.iter
-      (fun name k ->
-        if not (String.equal name final_name) then
-          dying.(k) <- name :: dying.(k))
-      last_use
-  end;
+  let last_use = Hashtbl.create 16 in
+  List.iteri
+    (fun k (step : Plan.step) ->
+      Hashtbl.replace last_use (Aref.name step.contraction.Contraction.left) k;
+      Hashtbl.replace last_use (Aref.name step.contraction.Contraction.right) k)
+    plan.steps;
+  Hashtbl.iter
+    (fun name k ->
+      if not (String.equal name final_name) then dying.(k) <- name :: dying.(k))
+    last_use;
   let free name =
     if Hashtbl.mem env name then begin
       Hashtbl.remove env name;
@@ -467,8 +237,7 @@ let run_plan ?pool ?(pooled = true) ?schedule ?recv_timeout_s
     List.iteri
       (fun k (step : Plan.step) ->
         let contract () =
-          run_contraction ?pool ?schedule ?recv_timeout_s grid ext
-            step.variant
+          run_contraction ~pool ?recv_timeout_s grid ext step.variant
             ~left:(lookup step.contraction.Contraction.left)
             ~right:(lookup step.contraction.Contraction.right)
         in
@@ -486,9 +255,8 @@ let run_plan ?pool ?(pooled = true) ?schedule ?recv_timeout_s
     Option.get !last
   in
   match pool with
-  | Some _ -> execute pool
-  | None when pooled ->
+  | Some pool -> execute pool
+  | None ->
     (* One persistent team serves every step: spawn/join is paid once per
        plan, not once per contraction. *)
-    Spmd.with_pool ~procs:(Grid.procs grid) (fun p -> execute (Some p))
-  | None -> execute None
+    Spmd.with_pool ~procs:(Grid.procs grid) execute

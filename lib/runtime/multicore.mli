@@ -1,27 +1,19 @@
 (** Multicore execution of plans: real parallel Cannon on OCaml 5 domains.
 
     Each grid processor is a domain; blocks move between domains through
-    the {!Spmd} mailboxes exactly along the schedule's shift pattern. This
-    demonstrates that the optimizer's plans are not just costed but
-    executable SPMD programs, and provides a second, genuinely concurrent
-    validation path next to the sequential simulator.
+    the {!Spmd} mailboxes exactly along the {!Schedule}'s shift pattern,
+    on square and R × C grids alike. This demonstrates that the
+    optimizer's plans are not just costed but executable SPMD programs,
+    and is the numeric executor of unfused plans: values are insensitive
+    to fusion, so plans run with full intermediates at validation extents
+    (every distributed extent at least its grid axis length). Use modest
+    grids (up to 16 domains).
 
-    Like [Tce_machine.Numeric], values are insensitive to fusion, so plans
-    are executed with full intermediates at validation extents (every
-    distributed extent at least the grid side). Use modest grids
-    (4–16 domains).
-
-    The engine is built for overlap and reuse (DESIGN.md §10): by default
-    Cannon steps are double-buffered — the next shift's operand sends are
-    posted before the current multiply, hiding message transit (and fault
-    retries) behind arithmetic — ranks gather their disjoint output
-    blocks lock-free, {!run_plan} runs every step on one persistent
-    {!Spmd.Pool} team instead of spawning domains per contraction, and
-    intermediates are dropped after their last use. Every knob has a
-    paper-faithful fallback ([Serialized], [~pooled:false],
-    [~free_intermediates:false]); the overlapped and serialized schedules
-    multiply identical blocks in identical order, so their results are
-    bit-identical.
+    The engine is one body (DESIGN.md §10): Cannon steps are serialized
+    (exchange, then multiply, as the paper's cost model charges them),
+    ranks gather their disjoint output blocks lock-free, {!run_plan} runs
+    every step on one persistent {!Spmd.Pool} team, and intermediates are
+    dropped after their last use.
 
     Crash safety comes from the {!Spmd} layer: a domain that raises (or a
     receive that exceeds [?recv_timeout_s]) poisons the team, every peer
@@ -31,36 +23,24 @@
 
 open! Import
 
-(** How a contraction's Cannon steps are driven. *)
-type schedule =
-  | Serialized  (** shift, then multiply — the paper's strict alternation *)
-  | Overlapped
-      (** double-buffered: operand sends for step [k+1] are posted before
-          the step-[k] multiply; receives land in a second buffer after
-          it. Rotated {e output} blocks (written by the multiply) still
-          exchange between multiplies. Bit-identical to [Serialized]. *)
-
 val run_contraction :
-  ?pool:Dense.t Spmd.Pool.t -> ?schedule:schedule -> ?recv_timeout_s:float
-  -> Grid.t -> Extents.t -> Variant.t -> left:Dense.t -> right:Dense.t
-  -> Dense.t
-(** One contraction, one domain per processor. [?pool] reuses a
-    persistent team (its size must match the grid; [Tce_error.Error]
-    otherwise) instead of spawning domains; [?schedule] defaults to
-    [Overlapped]. [?recv_timeout_s] bounds every block receive; on expiry
-    the run aborts with [Spmd.Spmd_aborted] wrapping a
-    [Spmd.Recv_timeout]. *)
+  ?pool:Dense.t Spmd.Pool.t -> ?recv_timeout_s:float -> Grid.t -> Extents.t
+  -> Variant.t -> left:Dense.t -> right:Dense.t -> Dense.t
+(** One contraction, one domain per processor. The operand tensors are
+    full (undistributed); the result is the gathered full output. [?pool]
+    reuses a persistent team (its size must match the grid;
+    [Tce_error.Error] otherwise) instead of spawning domains for the
+    call. [?recv_timeout_s] bounds every block receive; on expiry the run
+    aborts with [Spmd.Spmd_aborted] wrapping a [Spmd.Recv_timeout]. An
+    extent below its grid axis length is a [Tce_error.Error]. *)
 
 val run_plan :
-  ?pool:Dense.t Spmd.Pool.t -> ?pooled:bool -> ?schedule:schedule
-  -> ?recv_timeout_s:float -> ?free_intermediates:bool
+  ?pool:Dense.t Spmd.Pool.t -> ?recv_timeout_s:float
   -> ?on_free:(string -> unit) -> Grid.t -> Extents.t -> Plan.t
   -> inputs:(string * Dense.t) list -> Dense.t
-(** Execute every step of the plan. By default ([?pooled] true) all steps
-    run on one persistent {!Spmd.Pool} team created for the call;
-    [~pooled:false] restores the seed's spawn-per-step behaviour, and an
-    explicit [?pool] (not closed by this call) overrides both.
-    [?free_intermediates] (default true) drops each environment entry
-    after its last consuming step, honouring the memory discipline the
-    plan was optimized under; [?on_free] observes each dropped name (for
-    tests and tracing). The final output is never dropped. *)
+(** Execute every step of the plan on one persistent {!Spmd.Pool} team:
+    [?pool] when given (not closed by this call), else a team created
+    for the call. Each environment entry is dropped after its last
+    consuming step, honouring the memory discipline the plan was
+    optimized under; [?on_free] observes each dropped name (for tests
+    and tracing). The final output is never dropped. *)

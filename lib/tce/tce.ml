@@ -17,9 +17,10 @@
     [Einsum.contract2_ref]).
 
     {2 Parallel model}
-    {!Grid}, {!Dist} — the √P×√P logical processor grid and array
-    distributions; {!Contraction}, {!Variant}, {!Schedule} — the
-    generalized Cannon algorithm; {!Params}, {!Rcost} — the machine model
+    {!Grid}, {!Dist} — the R×C logical processor grid (√P×√P in the
+    paper) and array distributions; {!Contraction}, {!Variant},
+    {!Schedule} — the generalized Cannon algorithm and its block
+    placement on any grid shape; {!Params}, {!Rcost} — the machine model
     and the empirically-characterized communication cost service;
     {!Eqs}, {!Memacct} — the paper's size/cost equations and memory
     accounting.
@@ -32,9 +33,10 @@
 
     {2 Execution and reporting}
     {!Loopnest}, {!Interp} — fused-code generation and interpretation;
-    {!Cluster}, {!Simulate}, {!Numeric} — the discrete-event cluster
-    simulator; {!Spmd}, {!Multicore} — real parallel execution on OCaml 5
-    domains; {!Table}, {!Paperref}, {!Exptables} — experiment reports.
+    {!Cluster}, {!Simulate} — the discrete-event cluster simulator;
+    {!Fusedexec} — distributed execution with the plan's fusion
+    structure; {!Spmd}, {!Multicore} — real parallel execution on OCaml 5
+    domains, the executor of unfused plans; {!Table}, {!Paperref}, {!Exptables} — experiment reports.
 
     {2 Observability}
     {!Obs} — structured tracing and metrics: wall-clock and
@@ -99,7 +101,6 @@ module Interp = Tce_codegen.Interp
 module Fault = Tce_machine.Fault
 module Cluster = Tce_machine.Cluster
 module Simulate = Tce_machine.Simulate
-module Numeric = Tce_machine.Numeric
 module Fusedexec = Tce_machine.Fusedexec
 module Spmd = Tce_runtime.Spmd
 module Multicore = Tce_runtime.Multicore

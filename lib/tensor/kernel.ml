@@ -35,49 +35,20 @@ let hkc = 16
 
 let blocking () = (kc, mc, nc)
 
-type path = Gemm | Hadamard | Dot | Strassen | Walk
+type path = Gemm | Hadamard | Dot | Walk
 
 let last = ref Walk
 let last_path () = !last
 let last_used_microkernel () = !last <> Walk
 
 let last_used_packed () =
-  match !last with Gemm | Hadamard | Strassen -> true | Dot | Walk -> false
+  match !last with Gemm | Hadamard -> true | Dot | Walk -> false
 
 (* Debug oracle: route every contraction through the generic stride walk
    (on the very same canonicalized dimension lists the production
    kernels use), so tests can assert pack-path == walk bit-for-bit. *)
 let walk_oracle = ref false
 let set_walk_oracle b = walk_oracle := b
-
-(* ------------------------------------------------------------------ *)
-(* Strassen knob                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One recursion level on an n^3-ish multiply trades n^3/4 kernel flops
-   (2n^3 - 7·2(n/2)^3) for ~18 half-quadrant element passes, 4.5 n^2
-   elements moved at [move_rate]. It pays iff n > 18·flop_rate/move_rate,
-   which is the crossover below; see DESIGN.md §15. *)
-let strassen_crossover ~flop_rate ~move_rate =
-  if flop_rate <= 0.0 || move_rate <= 0.0 then
-    fail "Kernel.strassen_crossover: rates must be positive";
-  let n = ceil (18.0 *. flop_rate /. move_rate) in
-  max 32 (min 4096 (int_of_float n))
-
-(* Measured on the register-tiled kernel in this tree: ~5 Gflop/s of
-   microkernel throughput against ~1 G elements/s of add/copy passes. *)
-let default_crossover = strassen_crossover ~flop_rate:5e9 ~move_rate:1e9
-let strassen_state = ref None (* None = off, Some crossover = on *)
-
-let set_strassen ?crossover enabled =
-  (match crossover with
-  | Some c when c < 2 -> fail "Kernel.set_strassen: crossover must be >= 2"
-  | _ -> ());
-  strassen_state :=
-    if enabled then Some (Option.value crossover ~default:default_crossover)
-    else None
-
-let strassen_config () = !strassen_state
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization helpers                                            *)
@@ -171,9 +142,9 @@ let walk ~out_dims ~sum_dims (da : Dense.buf) (db : Dense.buf)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
-  mutable ap : float array; (* packed A panel / Strassen A *)
-  mutable bp : float array; (* packed B panel / Strassen B *)
-  mutable cp : float array; (* packed C panel / Strassen product *)
+  mutable ap : float array; (* packed A panel *)
+  mutable bp : float array; (* packed B panel *)
+  mutable cp : float array; (* packed C panel *)
   acc : float array; (* 2x4 register-tile spill cells *)
   mutable ma : int array; (* M-group offsets into A *)
   mutable mcf : int array; (* M-group offsets into C *)
@@ -447,152 +418,6 @@ let micro ap bp cp ~oa ~ob ~oc ~mw ~nw ~kw ~lda ~ldb ~ldc ~acc =
     end;
     incr j
   done
-
-(* Blocked GEMM over flat arrays already in canonical layout (unit K
-   stride in A, unit N stride in B and C): the Strassen base case. *)
-let gemm_flat a b c ~oa ~ob ~oc ~m ~n ~k ~lda ~ldb ~ldc ~acc =
-  let pc = ref 0 in
-  while !pc < k do
-    let kw = min kc (k - !pc) in
-    let jc = ref 0 in
-    while !jc < n do
-      let nw = min nc (n - !jc) in
-      let ic = ref 0 in
-      while !ic < m do
-        let mw = min mc (m - !ic) in
-        micro a b c
-          ~oa:(oa + (!ic * lda) + !pc)
-          ~ob:(ob + (!pc * ldb) + !jc)
-          ~oc:(oc + (!ic * ldc) + !jc)
-          ~mw ~nw ~kw ~lda ~ldb ~ldc ~acc;
-        ic := !ic + mw
-      done;
-      jc := !jc + nw
-    done;
-    pc := !pc + kw
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Strassen recursion (tolerance path; never bit-identical)            *)
-(* ------------------------------------------------------------------ *)
-
-(* Pointwise helpers on packed row-major blocks. [dst] is a fresh
-   [rows x cols] block with unit row stride [cols]. *)
-let blk_add dst src1 o1 ld1 src2 o2 ld2 ~rows ~cols =
-  for i = 0 to rows - 1 do
-    let r = i * cols and r1 = o1 + (i * ld1) and r2 = o2 + (i * ld2) in
-    for j = 0 to cols - 1 do
-      Array.unsafe_set dst (r + j)
-        (Array.unsafe_get src1 (r1 + j) +. Array.unsafe_get src2 (r2 + j))
-    done
-  done
-
-let blk_sub dst src1 o1 ld1 src2 o2 ld2 ~rows ~cols =
-  for i = 0 to rows - 1 do
-    let r = i * cols and r1 = o1 + (i * ld1) and r2 = o2 + (i * ld2) in
-    for j = 0 to cols - 1 do
-      Array.unsafe_set dst (r + j)
-        (Array.unsafe_get src1 (r1 + j) -. Array.unsafe_get src2 (r2 + j))
-    done
-  done
-
-let blk_copy dst src o ld ~rows ~cols =
-  for i = 0 to rows - 1 do
-    let r = i * cols and r1 = o + (i * ld) in
-    for j = 0 to cols - 1 do
-      Array.unsafe_set dst (r + j) (Array.unsafe_get src (r1 + j))
-    done
-  done
-
-let blk_accum c oc ldc p ~sign ~rows ~cols =
-  for i = 0 to rows - 1 do
-    let r = oc + (i * ldc) and rp = i * cols in
-    if sign > 0 then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set c (r + j)
-          (Array.unsafe_get c (r + j) +. Array.unsafe_get p (rp + j))
-      done
-    else
-      for j = 0 to cols - 1 do
-        Array.unsafe_set c (r + j)
-          (Array.unsafe_get c (r + j) -. Array.unsafe_get p (rp + j))
-      done
-  done
-
-(* C += A·B with classical 7-product Strassen recursion; recursion stops
-   on odd extents or when the half-size would drop below [xover], where
-   the blocked microkernel takes over. Temporaries are allocated per
-   level (sizes shrink 4x per level; only large multiplies get here). *)
-let rec strassen_rec a b c ~oa ~ob ~oc ~m ~n ~k ~lda ~ldb ~ldc ~xover ~acc =
-  if
-    m land 1 = 1
-    || n land 1 = 1
-    || k land 1 = 1
-    || min m (min n k) < 2 * xover
-  then gemm_flat a b c ~oa ~ob ~oc ~m ~n ~k ~lda ~ldb ~ldc ~acc
-  else begin
-    let m2 = m / 2 and n2 = n / 2 and k2 = k / 2 in
-    let ta = Array.make (m2 * k2) 0.0 in
-    let tb = Array.make (k2 * n2) 0.0 in
-    let p = Array.make (m2 * n2) 0.0 in
-    let a11 = oa
-    and a12 = oa + k2
-    and a21 = oa + (m2 * lda)
-    and a22 = oa + (m2 * lda) + k2 in
-    let b11 = ob
-    and b12 = ob + n2
-    and b21 = ob + (k2 * ldb)
-    and b22 = ob + (k2 * ldb) + n2 in
-    let c11 = oc
-    and c12 = oc + n2
-    and c21 = oc + (m2 * ldc)
-    and c22 = oc + (m2 * ldc) + n2 in
-    let recurse ta tb =
-      Array.fill p 0 (m2 * n2) 0.0;
-      strassen_rec ta tb p ~oa:0 ~ob:0 ~oc:0 ~m:m2 ~n:n2 ~k:k2 ~lda:k2
-        ~ldb:n2 ~ldc:n2 ~xover ~acc
-    in
-    (* M1 = (A11 + A22)(B11 + B22) -> C11, C22 *)
-    blk_add ta a a11 lda a a22 lda ~rows:m2 ~cols:k2;
-    blk_add tb b b11 ldb b b22 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c11 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    blk_accum c c22 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    (* M2 = (A21 + A22) B11 -> C21, -C22 *)
-    blk_add ta a a21 lda a a22 lda ~rows:m2 ~cols:k2;
-    blk_copy tb b b11 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c21 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    blk_accum c c22 ldc p ~sign:(-1) ~rows:m2 ~cols:n2;
-    (* M3 = A11 (B12 - B22) -> C12, C22 *)
-    blk_copy ta a a11 lda ~rows:m2 ~cols:k2;
-    blk_sub tb b b12 ldb b b22 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c12 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    blk_accum c c22 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    (* M4 = A22 (B21 - B11) -> C11, C21 *)
-    blk_copy ta a a22 lda ~rows:m2 ~cols:k2;
-    blk_sub tb b b21 ldb b b11 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c11 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    blk_accum c c21 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    (* M5 = (A11 + A12) B22 -> -C11, C12 *)
-    blk_add ta a a11 lda a a12 lda ~rows:m2 ~cols:k2;
-    blk_copy tb b b22 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c11 ldc p ~sign:(-1) ~rows:m2 ~cols:n2;
-    blk_accum c c12 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    (* M6 = (A21 - A11)(B11 + B12) -> C22 *)
-    blk_sub ta a a21 lda a a11 lda ~rows:m2 ~cols:k2;
-    blk_add tb b b11 ldb b b12 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c22 ldc p ~sign:1 ~rows:m2 ~cols:n2;
-    (* M7 = (A12 - A22)(B21 + B22) -> C11 *)
-    blk_sub ta a a12 lda a a22 lda ~rows:m2 ~cols:k2;
-    blk_add tb b b21 ldb b b22 ldb ~rows:k2 ~cols:n2;
-    recurse ta tb;
-    blk_accum c c11 ldc p ~sign:1 ~rows:m2 ~cols:n2
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Flavor drivers                                                      *)
@@ -1131,78 +956,28 @@ let contract_acc ?(pin_out = []) ?(pin_a = []) ?(pin_b = []) ~into a b =
       st.ncf <- grow_i st.ncf nsz;
       fill_offsets st.nb n_dims (fun d -> d.sb);
       fill_offsets st.ncf n_dims (fun d -> d.sc);
-      let strassen_xover =
-        match !strassen_state with
-        | Some xover
-          when Array.length h_dims = 0
-               && msz land 1 = 0
-               && nsz land 1 = 0
-               && ksz land 1 = 0
-               && min msz (min nsz ksz) >= 2 * xover ->
-          Some xover
-        | _ -> None
+      last := Gemm;
+      st.ap <- grow_f st.ap (min mc msz * min kc ksz);
+      st.bp <- grow_f st.bp (min kc ksz * min nc nsz);
+      st.cp <- grow_f st.cp (min mc msz * min nc nsz);
+      let nh = Array.length h_dims in
+      let rec go d oa ob oc =
+        if d = nh then
+          gemm_driver st da db dc ~abase:oa ~bbase:ob ~cbase:oc ~msz ~nsz
+            ~ksz
+        else begin
+          let { ext; sa; sb; sc } = Array.unsafe_get h_dims d in
+          for x = 0 to ext - 1 do
+            go (d + 1) (oa + (x * sa)) (ob + (x * sb)) (oc + (x * sc))
+          done
+        end
       in
-      (match strassen_xover with
-      | Some xover ->
-        last := Strassen;
-        (* Pack both operands whole into canonical layout, run the
-           recursion into a zeroed product, then accumulate it onto C
-           through the offset tables. *)
-        st.ap <- grow_f st.ap (msz * ksz);
-        st.bp <- grow_f st.bp (ksz * nsz);
-        st.cp <- grow_f st.cp (msz * nsz);
-        let ap = st.ap and bp = st.bp and cp = st.cp in
-        for i = 0 to msz - 1 do
-          let ao = abase + Array.unsafe_get st.ma i in
-          let r = i * ksz in
-          for t = 0 to ksz - 1 do
-            Array.unsafe_set ap (r + t)
-              (A1.unsafe_get da (ao + Array.unsafe_get st.ka t))
-          done
-        done;
-        for t = 0 to ksz - 1 do
-          let bo = bbase + Array.unsafe_get st.kb t in
-          let r = t * nsz in
-          for j = 0 to nsz - 1 do
-            Array.unsafe_set bp (r + j)
-              (A1.unsafe_get db (bo + Array.unsafe_get st.nb j))
-          done
-        done;
-        Array.fill cp 0 (msz * nsz) 0.0;
-        strassen_rec ap bp cp ~oa:0 ~ob:0 ~oc:0 ~m:msz ~n:nsz ~k:ksz
-          ~lda:ksz ~ldb:nsz ~ldc:nsz ~xover ~acc:st.acc;
-        for i = 0 to msz - 1 do
-          let co = cbase + Array.unsafe_get st.mcf i in
-          let r = i * nsz in
-          for j = 0 to nsz - 1 do
-            let o = co + Array.unsafe_get st.ncf j in
-            A1.unsafe_set dc o (A1.unsafe_get dc o +. Array.unsafe_get cp (r + j))
-          done
-        done
-      | None ->
-        last := Gemm;
-        st.ap <- grow_f st.ap (min mc msz * min kc ksz);
-        st.bp <- grow_f st.bp (min kc ksz * min nc nsz);
-        st.cp <- grow_f st.cp (min mc msz * min nc nsz);
-        let nh = Array.length h_dims in
-        let rec go d oa ob oc =
-          if d = nh then
-            gemm_driver st da db dc ~abase:oa ~bbase:ob ~cbase:oc ~msz ~nsz
-              ~ksz
-          else begin
-            let { ext; sa; sb; sc } = Array.unsafe_get h_dims d in
-            for x = 0 to ext - 1 do
-              go (d + 1) (oa + (x * sa)) (ob + (x * sb)) (oc + (x * sc))
-            done
-          end
-        in
-        go 0 abase bbase cbase))
+      go 0 abase bbase cbase)
   end;
   if Obs.enabled () then begin
     Obs.count
       (match !last with
       | Walk -> "kernel.fallback"
-      | Strassen -> "kernel.strassen"
       | Gemm | Hadamard | Dot -> "kernel.microkernel");
     let dims_product = List.fold_left (fun acc d -> acc * d.ext) 1 in
     Obs.count

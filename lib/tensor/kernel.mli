@@ -15,10 +15,8 @@
 
     Packing preserves the historical accumulation order of every
     pre-packing path, so results are bit-identical to both the walk (on
-    the same canonicalized dimensions) and earlier releases. The
-    optional {!set_strassen} path trades that bit guarantee for an
-    O(n^2.81) multiply on large near-square GEMM-shaped contractions;
-    it is off by default. All paths perform zero per-element
+    the same canonicalized dimensions) and earlier releases. All paths
+    perform zero per-element
     allocation (panels and offset tables are per-domain, grow-only
     scratch). *)
 
@@ -53,7 +51,6 @@ type path =
       (** innermost output dimension shared by both operands: packed B
           panels over contiguous C strips *)
   | Dot  (** full reduction to one cell through offset tables *)
-  | Strassen  (** recursive 7-product multiply (opt-in, tolerance path) *)
   | Walk  (** generic stride walk — debug oracle only *)
 
 val last_path : unit -> path
@@ -66,8 +63,8 @@ val last_used_microkernel : unit -> bool
 
 val last_used_packed : unit -> bool
 (** Whether the most recent {!contract_acc} on this domain copy-packed
-    operand panels ({!Gemm}, {!Hadamard} and {!Strassen} do; {!Dot} and
-    {!Walk} read operands in place). *)
+    operand panels ({!Gemm} and {!Hadamard} do; {!Dot} and {!Walk} read
+    operands in place). *)
 
 val blocking : unit -> int * int * int
 (** The cache-blocking parameters [(KC, MC, NC)]: summation-strip depth,
@@ -81,28 +78,3 @@ val set_walk_oracle : bool -> unit
     packed paths reproduce the walk's accumulation order exactly, so
     pack ≡ walk {b bit-for-bit}; the property suite sweeps this. Global,
     not per-domain; for tests only. Default [false]. *)
-
-val set_strassen : ?crossover:int -> bool -> unit
-(** Enable the Strassen path. A contraction takes it when it is
-    GEMM-shaped with no batch dimensions and even [M], [N], [K] all at
-    least [2 × crossover]; recursion halves the quadrants until a
-    dimension turns odd or drops below [crossover], where the blocked
-    microkernel takes over. Results differ from the exact paths in the
-    last bits (certified ≤ 1e-10 relative Frobenius by the property
-    sweep). [crossover] defaults to {!strassen_crossover} applied to
-    this kernel's measured flop and copy rates. Raises [Tce_error.Error]
-    if [crossover < 2]. Global; default off. *)
-
-val strassen_config : unit -> int option
-(** [Some crossover] when the Strassen path is enabled, else [None]. *)
-
-val strassen_crossover : flop_rate:float -> move_rate:float -> int
-(** Cost-model crossover rule: one recursion level on an n³ multiply
-    saves [n³/4] multiply flops but spends ~[4.5 n²] extra element moves
-    (quadrant adds + product accumulation), so it pays iff
-    [0.25 n³ / flop_rate > 4.5 n² / move_rate], i.e.
-    [n > 18 · flop_rate / move_rate]. Returns that threshold (elements
-    per dimension), clamped to [\[32, 4096\]]. [flop_rate] is the
-    microkernel's flop/s, [move_rate] sustained element copies/s —
-    e.g. from [Tce_netmodel.Params]. Raises [Tce_error.Error] unless
-    both rates are positive. *)

@@ -25,17 +25,14 @@ let test_full_pipeline_raw_product () =
   let seq = get_ok ~ctx:"seq" (Tree.to_sequence tree) in
   let inputs = Sequence.random_inputs ext ~seed:101 seq in
   let reference = Sequence.eval ext ~inputs seq in
-  (* 1. Simulated-cluster numeric execution. *)
-  let sim = Numeric.run_plan grid ext plan ~inputs in
-  Alcotest.(check bool) "simulated" true (Dense.equal_approx reference sim);
-  (* 2. Real domains. *)
+  (* 1. Real domains. *)
   let mc = Multicore.run_plan grid ext plan ~inputs in
   Alcotest.(check bool) "multicore" true (Dense.equal_approx reference mc);
-  (* 3. Timing: replay = model. *)
+  (* 2. Timing: replay = model. *)
   let t = simulate params ext plan in
   check_close ~ctx:"comm replay" ~rel:1e-9 (Plan.comm_cost plan)
     t.Simulate.comm_seconds;
-  (* 4. Fused code with the plan's own fusion choices. *)
+  (* 3. Fused code with the plan's own fusion choices. *)
   let fusions name =
     match
       List.find_map
@@ -72,7 +69,7 @@ S[d,g]   = sum[c,m] U[c,m,d] * W[c,m,g]
   let plan = get_ok ~ctx:"plan" (Search.optimize cfg ext tree) in
   let inputs = Sequence.random_inputs ext ~seed:55 seq in
   let reference = Sequence.eval ext ~inputs seq in
-  let got = Numeric.run_plan grid ext plan ~inputs in
+  let got = Multicore.run_plan grid ext plan ~inputs in
   Alcotest.(check bool) "values" true (Dense.equal_approx reference got)
 
 (* Scaled-extent consistency: the optimizer's structural choices at paper
@@ -158,7 +155,7 @@ S[p0,p3,q]  = sum[p2] T1[p0,p2,q] * M3[p2,p3]
       let seq = get_ok ~ctx:"seq" (Tree.to_sequence tree) in
       let inputs = Sequence.random_inputs ext ~seed:(7 * !executed) seq in
       let reference = Sequence.eval ext ~inputs seq in
-      let unfused = Numeric.run_plan grid ext plan ~inputs in
+      let unfused = Multicore.run_plan grid ext plan ~inputs in
       if not (Dense.equal_approx ~tol:1e-9 reference unfused) then
         Alcotest.failf "unfused execution wrong for:%s" text;
       let fused = (Fusedexec.run_plan grid ext plan ~inputs).Fusedexec.result in

@@ -1,5 +1,5 @@
-(* Tests for the simulated cluster: clock accounting, plan replay against
-   the analytic model, and numeric execution against the reference. *)
+(* Tests for the simulated cluster: clock accounting and plan replay
+   against the analytic model. *)
 
 open Tce
 open Helpers
@@ -72,69 +72,6 @@ let test_replay_paper_scale () =
   check_close ~ctx:"Table 2 replay" ~rel:1e-6 (Plan.comm_cost plan)
     t.Simulate.comm_seconds
 
-(* Numeric execution of single contractions under every variant. *)
-let test_numeric_all_variants () =
-  let e = extents [ ("x", 4); ("y", 6); ("u", 4); ("v", 6); ("w", 4) ] in
-  let grid = Grid.create_exn ~procs:4 in
-  let rng = Prng.create ~seed:99 in
-  let left = Dense.create [ (i "x", 4); (i "u", 4); (i "w", 4) ] in
-  let right = Dense.create [ (i "u", 4); (i "w", 4); (i "y", 6); (i "v", 6) ] in
-  Dense.fill_random left rng;
-  Dense.fill_random right rng;
-  let c =
-    get_ok ~ctx:"contraction"
-      (Contraction.make
-         ~out:(aref "O" [ "x"; "y"; "v" ])
-         ~left:(aref "L" [ "x"; "u"; "w" ])
-         ~right:(aref "R" [ "u"; "w"; "y"; "v" ])
-         ~sum:(idx_list [ "u"; "w" ]))
-  in
-  let reference =
-    Einsum.contract2 ~out:(idx_list [ "x"; "y"; "v" ]) left right
-  in
-  let variants = Variant.all c in
-  Alcotest.(check int) "variant count" (3 * 1 * 2 * 2) (List.length variants);
-  List.iter
-    (fun v ->
-      let got = Numeric.run_contraction grid e v ~left ~right in
-      if not (Dense.equal_approx ~tol:1e-9 reference got) then
-        Alcotest.failf "variant %s wrong"
-          (Format.asprintf "%a" Variant.pp v))
-    variants
-
-let test_numeric_rejects_small_extents () =
-  let e = extents [ ("x", 2); ("y", 8); ("k", 8) ] in
-  let grid = Grid.create_exn ~procs:16 (* side 4 > extent of x *) in
-  let left = Dense.create [ (i "x", 2); (i "k", 8) ] in
-  let right = Dense.create [ (i "k", 8); (i "y", 8) ] in
-  let c =
-    get_ok ~ctx:"c"
-      (Contraction.make ~out:(aref "O" [ "x"; "y" ])
-         ~left:(aref "L" [ "x"; "k" ])
-         ~right:(aref "R" [ "k"; "y" ])
-         ~sum:[ i "k" ])
-  in
-  let v = List.hd (Variant.all c) in
-  match Numeric.run_contraction grid e v ~left ~right with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "undersized extent accepted"
-
-let test_numeric_plan_matches_reference () =
-  let problem, seq, tree = ccsd ~scale:`Small in
-  let ext = problem.Problem.extents in
-  List.iter
-    (fun procs ->
-      let grid, cfg = search_config procs in
-      let plan = get_ok ~ctx:"plan" (Search.optimize cfg ext tree) in
-      let inputs = Sequence.random_inputs ext ~seed:(procs * 7) seq in
-      let reference = Sequence.eval ext ~inputs seq in
-      let got = Numeric.run_plan grid ext plan ~inputs in
-      Alcotest.(check bool)
-        (Printf.sprintf "P=%d" procs)
-        true
-        (Dense.equal_approx ~tol:1e-9 reference got))
-    [ 1; 4 ]
-
 (* Overlap is reporting-only: under [Overlap.none] the overlapped clock
    equals the serialized total (and the replayed clocks are identical to
    an overlap-free run), under [Overlap.perfect] it is bounded by the
@@ -188,11 +125,5 @@ let suite =
           test_replay_matches_model_divisible;
         case "replay = model (paper scale)" test_replay_paper_scale;
         case "overlapped timing bounds" test_simulate_overlap_bounds;
-      ] );
-    ( "machine.numeric",
-      [
-        case "all Cannon variants compute correctly" test_numeric_all_variants;
-        case "undersized extents rejected" test_numeric_rejects_small_extents;
-        case "whole plans match the reference" test_numeric_plan_matches_reference;
       ] );
   ]

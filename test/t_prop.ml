@@ -238,80 +238,6 @@ let pack_vs_walk_pins_block ~seed ~count () =
             ctx
       done)
 
-(* ---------------- Strassen ---------------- *)
-
-(* The Strassen path reassociates additions, so it is certified to
-   tolerance rather than bits: across the crossover (engaged and not),
-   its result stays within 1e-10 relative Frobenius error of the exact
-   blocked kernel, it only engages on even near-square shapes above
-   2x the crossover, and switching it off restores bit-identity. *)
-let strassen_block ~seed ~count () =
-  let prng = Prng.create ~seed in
-  Fun.protect
-    ~finally:(fun () -> Kernel.set_strassen false)
-    (fun () ->
-      let m' = Index.v "m" and n' = Index.v "n" and k' = Index.v "k" in
-      for case = 1 to count do
-        let ctx = Printf.sprintf "seed %d case %d" seed case in
-        let xover = 4 + Prng.int prng ~bound:5 in
-        (* Sizes straddling the 2*xover engagement threshold, odd sizes
-           included so the evenness gate is exercised. *)
-        let dim () = 2 * xover - 3 + Prng.int prng ~bound:(2 * xover) in
-        let m = dim () and n = dim () and k = dim () in
-        let a = Dense.create [ (m', m); (k', k) ] in
-        let b = Dense.create [ (k', k); (n', n) ] in
-        Dense.fill_random a prng;
-        Dense.fill_random b prng;
-        Kernel.set_strassen false;
-        let exact = Einsum.contract2 ~out:[ m'; n' ] a b in
-        Alcotest.(check bool) (ctx ^ ": off by default") true
-          (Kernel.last_path () = Kernel.Gemm);
-        Kernel.set_strassen ~crossover:xover true;
-        let fast = Einsum.contract2 ~out:[ m'; n' ] a b in
-        let engaged = Kernel.last_path () = Kernel.Strassen in
-        let should_engage =
-          m land 1 = 0 && n land 1 = 0 && k land 1 = 0
-          && min m (min n k) >= 2 * xover
-        in
-        Alcotest.(check bool) (ctx ^ ": engagement rule") should_engage engaged;
-        if engaged then begin
-          let diff = Einsum.add exact (Einsum.scale (-1.0) fast) in
-          let rel =
-            Dense.frobenius diff /. Float.max 1e-300 (Dense.frobenius exact)
-          in
-          if rel > 1e-10 then
-            Alcotest.failf "%s: Strassen rel error %.3g > 1e-10" ctx rel
-        end
-        else if not (Dense.bits_equal exact fast) then
-          Alcotest.failf "%s: disengaged Strassen changed the bits" ctx;
-        Kernel.set_strassen false;
-        let again = Einsum.contract2 ~out:[ m'; n' ] a b in
-        if not (Dense.bits_equal exact again) then
-          Alcotest.failf "%s: switching Strassen off did not restore bits" ctx
-      done)
-
-let test_strassen_crossover_rule () =
-  (* n > 18 * flop_rate / move_rate, clamped to [32, 4096]. *)
-  Alcotest.(check int) "5G/1G" 90
-    (Kernel.strassen_crossover ~flop_rate:5e9 ~move_rate:1e9);
-  Alcotest.(check int) "clamp low" 32
-    (Kernel.strassen_crossover ~flop_rate:1e9 ~move_rate:1e9);
-  Alcotest.(check int) "clamp high" 4096
-    (Kernel.strassen_crossover ~flop_rate:1e12 ~move_rate:1e6);
-  (match Kernel.strassen_crossover ~flop_rate:0.0 ~move_rate:1.0 with
-  | exception Tce_error.Error _ -> ()
-  | _ -> Alcotest.fail "zero rate accepted");
-  Alcotest.(check bool) "off by default" true (Kernel.strassen_config () = None);
-  Kernel.set_strassen true;
-  Alcotest.(check bool) "on reports crossover" true
-    (Kernel.strassen_config () <> None);
-  Kernel.set_strassen false;
-  match Kernel.set_strassen ~crossover:1 true with
-  | exception Tce_error.Error _ -> Kernel.set_strassen false
-  | () ->
-    Kernel.set_strassen false;
-    Alcotest.fail "crossover 1 accepted"
-
 (* ---------------- differential: model vs replay ---------------- *)
 
 (* A random uniform (affine) machine: step time is latency + bytes/bw with
@@ -545,11 +471,6 @@ let suite =
           (pack_vs_walk_block ~seed:5002 ~count:40);
         case "pinned pack == walk oracle, bit-for-bit (seed 5101)"
           (pack_vs_walk_pins_block ~seed:5101 ~count:25);
-        case "strassen == blocked within 1e-10 rel Frobenius (seed 5201)"
-          (strassen_block ~seed:5201 ~count:12);
-        case "strassen == blocked within 1e-10 rel Frobenius (seed 5202)"
-          (strassen_block ~seed:5202 ~count:12);
-        case "strassen crossover rule and knobs" test_strassen_crossover_rule;
       ] );
     ( "prop.differential",
       [

@@ -215,12 +215,10 @@ S[a,b] = sum[k,x] X[a,k,x] * Y[k,b]
   let plan = get_ok ~ctx:"plan" (Search.optimize cfg ext tree) in
   Alcotest.(check int) "one presum" 1 (List.length plan.Plan.presums);
   Alcotest.(check int) "one contraction" 1 (List.length plan.Plan.steps);
-  (* Numeric agreement across all three executors. *)
+  (* Numeric agreement across both executors. *)
   let seq = get_ok ~ctx:"seq" (Tree.to_sequence tree) in
   let inputs = Sequence.random_inputs ext ~seed:71 seq in
   let reference = Sequence.eval ext ~inputs seq in
-  let a = Numeric.run_plan grid ext plan ~inputs in
-  Alcotest.(check bool) "simulated" true (Dense.equal_approx reference a);
   let b = (Fusedexec.run_plan grid ext plan ~inputs).Fusedexec.result in
   Alcotest.(check bool) "fused executor" true (Dense.equal_approx reference b);
   let c = Multicore.run_plan grid ext plan ~inputs in
