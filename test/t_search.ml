@@ -162,7 +162,8 @@ let test_solution_count_small () =
   let problem, _, tree = ccsd ~scale:`Paper in
   let _, cfg = search_config 16 in
   let n = get_ok ~ctx:"count" (Search.solution_count cfg problem.Problem.extents tree) in
-  Alcotest.(check bool) "pruning keeps the set small" true (n > 0 && n < 2000)
+  Alcotest.(check bool) "pruning keeps the set small" true (n > 0 && n < 2000);
+  Alcotest.(check int) "pinned count" 12 n
 
 (* The redistribution path: force a producer/consumer distribution clash
    and check a redistribution is planned and costed. *)
@@ -272,6 +273,107 @@ S[a,d]   = sum[b,c] T[a,b,c] * Z[b,c,d]
     | Error msg, Ok _ -> Alcotest.failf "DP infeasible but brute not: %s" msg
   done
 
+(* Pinned search output: the undominated root-solution count and an MD5
+   of the rendered plan, as literals, on the paper's CCSD, the
+   repeated-subexpression problem, the fast chain and seconds-scale
+   einsum of the bench corpus, three seeded fuzz batches (one count
+   total and one digest over each batch's per-instance count and plan)
+   and one seeded sum. Any change to the DP's enumeration, legality,
+   costing, pruning or tie-break order shows up here as a changed
+   literal. *)
+let plan_digest text = Digest.to_hex (Digest.string text)
+
+let pinned =
+  [
+    "ccsd-paper-p16 12 d765cf2231ac85da8b66af058ff890c6";
+    "ccsd-paper-p64 32 d4e9a08dba4fab5eecb5675651745274";
+    "cse 1 e67213082787e2b119dd168c267f83ef";
+    "chain-16 1 1761ece162df344d14728e9fc8d1b0cb";
+    "einsum-7t-r7 54 ed516f1364cceb4e6cd7df245f268535";
+    "fuzz-seed-1 93 d98c9b39977e1b633f5f892bf36620e4";
+    "fuzz-seed-2 109 d11395efbf506b3817048811bd9fd71e";
+    "fuzz-seed-3 97 713d8bd08fab5fbf50696689722bcc12";
+    "sum-3t-seed-1 9f1e7536267de505cc87865b0b5fdbe9";
+  ]
+
+let cse_text =
+  {|extents a=64, b=64, c=64, k=64
+T1[a,b] = sum[k] X[a,k] * Y[k,b]
+T2[a,c] = sum[b] T1[a,b] * W[b,c]
+T3[a,b] = sum[k] X[a,k] * Y[k,b]
+S[c,b] = sum[a] T2[a,c] * T3[a,b]
+|}
+
+(* (count, rendered plan) of one tree on the P-processor paper machine. *)
+let count_and_plan procs ext tree =
+  let _, cfg = search_config procs in
+  let count = get_ok ~ctx:"count" (Search.solution_count cfg ext tree) in
+  let plan =
+    match Search.optimize cfg ext tree with
+    | Ok p -> Format.asprintf "%a" Plan.pp p
+    | Error msg -> "error: " ^ msg
+  in
+  (count, plan)
+
+let test_pinned_search_output () =
+  let line name (n, plan) =
+    Printf.sprintf "%s %d %s" name n (plan_digest plan)
+  in
+  let bench name =
+    let x =
+      List.find
+        (fun (x : Gencorpus.instance) -> String.equal x.Gencorpus.name name)
+        (Gencorpus.bench_corpus ())
+    in
+    line name (count_and_plan 16 x.Gencorpus.ext x.Gencorpus.tree)
+  in
+  let ccsd procs =
+    let problem, _, tree = ccsd ~scale:`Paper in
+    line
+      (Printf.sprintf "ccsd-paper-p%d" procs)
+      (count_and_plan procs problem.Problem.extents tree)
+  in
+  let cse =
+    let problem = get_ok ~ctx:"parse" (Parser.parse cse_text) in
+    let seq = get_ok ~ctx:"seq" (Problem.to_sequence problem) in
+    let tree = get_ok ~ctx:"tree" (Tree.of_sequence seq) in
+    line "cse" (count_and_plan 16 problem.Problem.extents tree)
+  in
+  let fuzz seed =
+    let buf = Buffer.create 4096 in
+    let total =
+      List.fold_left
+        (fun acc { Gencorpus.name; ext; tree } ->
+          let n, plan = count_and_plan 16 ext tree in
+          Printf.bprintf buf "%s %d\n%s\n" name n plan;
+          acc + n)
+        0
+        (Gencorpus.fuzz ~seed ~count:24)
+    in
+    line (Printf.sprintf "fuzz-seed-%d" seed) (total, Buffer.contents buf)
+  in
+  let sum =
+    let sext, sum = Gencorpus.random_sum ~seed:1 ~terms:3 ~lo:24 ~hi:48 () in
+    let _, cfg = search_config 16 in
+    let sp = get_ok ~ctx:"optimize_sum" (Search.optimize_sum cfg sext sum) in
+    "sum-3t-seed-1 " ^ plan_digest (Format.asprintf "%a" (Plan.pp_sum sext) sp)
+  in
+  let actual =
+    [
+      ccsd 16;
+      ccsd 64;
+      cse;
+      bench "chain-16";
+      bench "einsum-7t-r7";
+      fuzz 1;
+      fuzz 2;
+      fuzz 3;
+      sum;
+    ]
+  in
+  Alcotest.(check (list string)) "name, solution count, plan digest" pinned
+    actual
+
 let presum_suite =
   [
     case "pre-summed inputs plan and execute" test_presummed_inputs;
@@ -300,6 +402,8 @@ let suite =
         case "solution-set pruning effective" test_solution_count_small;
         case "redistribution costing sane" test_redistribution_used;
         case "fixed fusion mode" test_fixed_fusion_mode;
+        case "pinned solution counts and plan digests"
+          test_pinned_search_output;
       ]
       @ presum_suite );
   ]
