@@ -93,50 +93,6 @@ let fusion_candidates ?cap cfg ~child ~parent =
     in
     [ Index.Set.inter wanted fusible ]
 
-(* Fusion set governing a role's communication at this node. *)
-let fused_of_role ~f_out ~f_left ~f_right = function
-  | Variant.Out -> f_out
-  | Variant.Left -> f_left
-  | Variant.Right -> f_right
-
-(* Loops that force the node's whole computation inside them: the fusion
-   with the node's own parent (the produced array exists slice-wise), and
-   the fusion on any internal child edge (the consumed intermediate is
-   stored reduced, so its slices are transient). A leaf's edge fusion does
-   NOT force nesting — inputs stay fully stored and fusing their edge only
-   streams their communication in slices.
-
-   Every rotated array must then be communicated inside the forcing loops:
-   the loop index must be a dimension of the array (else it would need a
-   full re-rotation per iteration, which the MsgFactor equations cannot
-   express) and be fused on that array's edge so the cost is charged. *)
-let forcing_set ~f_out ~f_left ~f_right ~left_internal ~right_internal =
-  let add cond set acc = if cond then Index.Set.union set acc else acc in
-  Index.Set.empty |> Index.Set.union f_out
-  |> add left_internal f_left
-  |> add right_internal f_right
-
-let rotated_context_ok variant ~forcing ~f_out ~f_left ~f_right =
-  Index.Set.for_all
-    (fun t ->
-      List.for_all
-        (fun ((role : Variant.role), _axis) ->
-          let dims = Aref.index_set (Variant.aref_of variant role) in
-          Index.Set.mem t dims
-          && Index.Set.mem t (fused_of_role ~f_out ~f_left ~f_right role))
-        (Variant.rotated variant))
-    forcing
-  (* A fused loop whose index is distributed along a rotated array's own
-     rotation axis would exchange slices between processors iterating
-     different chunk values of that loop — not executable. *)
-  && List.for_all
-       (fun ((role : Variant.role), axis) ->
-         Index.Set.for_all
-           (fun t ->
-             Dist.position_of (Variant.dist_of variant role) t <> Some axis)
-           (fused_of_role ~f_out ~f_left ~f_right role))
-       (Variant.rotated variant)
-
 (* Consumption of a child in distribution [cons] when it was produced in
    [prod]: free when the contents agree; otherwise a redistribution, whose
    legality under fusion is the paper's constraint (iii) (the fused loop
@@ -192,8 +148,16 @@ let orient_key dist =
    that are broken by an explicit deterministic key — the oriented
    production distribution (the pair order the content key deliberately
    erases), then enumeration order — so exactly one of a set of
-   duplicates survives. Each solution's bytes, rotation count and keys
-   are computed once up front, not inside the O(n²) inner loop.
+   duplicates survives.
+
+   The survivors are therefore exactly one solution per Pareto-minimal
+   (cost, bytes) point of the group: the least under (output rotations,
+   oriented key, enumeration order) of the solutions at that point. A
+   sort of the group by (cost, bytes, rotations, oriented key, order)
+   finds them in one sweep: a solution survives when its bytes are below
+   those of every solution sorted before it (an earlier one has lower
+   cost, or equal cost and fewer bytes, or the same point and a smaller
+   tie-break). Survivors are then read off in the group's own order.
 
    Dominance is a fixed predicate of a group's members, so each group can
    be filtered on its own: when a pool is supplied, groups are fanned out
@@ -227,22 +191,37 @@ let prune_solutions ?pool ?(fan_min = 0) cfg sols =
       Hashtbl.replace groups k
         (a :: Option.value ~default:[] (Hashtbl.find_opt groups k)))
     annotated;
+  let by_point (s, bytes, rots, okey, ord) (s', bytes', rots', okey', ord') =
+    match Float.compare s.cost s'.cost with
+    | 0 -> (
+      match Float.compare bytes bytes' with
+      | 0 -> (
+        match Int.compare rots rots' with
+        | 0 -> (
+          match String.compare okey okey' with
+          | 0 -> Int.compare ord ord'
+          | c -> c)
+        | c -> c)
+      | c -> c)
+    | c -> c
+  in
   let filter_group group =
-    let dominated (s, bytes, rots, okey, ord) =
-      List.exists
-        (fun (s', bytes', rots', okey', ord') ->
-          s' != s
-          && s'.cost <= s.cost
-          && bytes' <= bytes
-          && (s'.cost < s.cost || bytes' < bytes || rots' < rots
-             || (rots' = rots
-                && (String.compare okey' okey < 0
-                   || (String.equal okey' okey && ord' < ord)))))
-        group
-    in
-    List.filter_map
-      (fun ((s, _, _, _, _) as a) -> if dominated a then None else Some s)
-      group
+    let members = Array.of_list group in
+    let sorted = Array.init (Array.length members) Fun.id in
+    Array.sort (fun x y -> by_point members.(x) members.(y)) sorted;
+    let survives = Array.make (Array.length members) false in
+    let least_bytes = ref None in
+    Array.iter
+      (fun x ->
+        let _, bytes, _, _, _ = members.(x) in
+        match !least_bytes with
+        | Some b when bytes >= b -> ()
+        | _ ->
+          survives.(x) <- true;
+          least_bytes := Some bytes)
+      sorted;
+    List.filteri (fun x _ -> survives.(x)) group
+    |> List.map (fun (s, _, _, _, _) -> s)
   in
   let group_list = Hashtbl.fold (fun _ group acc -> group :: acc) groups [] in
   let filtered = pool_map filter_group (Array.of_list group_list) in
@@ -543,6 +522,204 @@ let rec contract_weight = function
 let fork_grain = 1
 let fanout_min = 256
 
+(* --- Per-node tables (DESIGN.md §12) -------------------------------------
+
+   Whether a (variant, left case, right case, parent fusion) combination
+   is legal depends on a case only through its edge fusion and whether
+   its child is stored — an intermediate, or a presummed input kept
+   reduced under the edge fusion — rather than a leaf. Each side's cases
+   are therefore numbered by their distinct (fusion, stored) key, every
+   fusion set met at the node becomes an int mask, and legality is
+   decided once per (variant, left key, right key, parent fusion):
+
+   - chain: the three edge fusions are pairwise nested, so they can all
+     be prefixes of one loop nesting;
+   - forcing: the loops that force the node's whole computation inside
+     them are the parent fusion (the produced array exists slice-wise)
+     and each stored child's fusion (its slices are transient); a leaf's
+     fusion only streams its communication. Every rotated array is then
+     communicated inside the forcing loops, so each forcing index must
+     be a dimension of the array (else it would need a full re-rotation
+     per iteration, which the MsgFactor equations cannot express) and be
+     fused on that array's edge so the cost is charged;
+   - rotation axis: a fused index distributed along a rotated array's
+     own rotation axis would exchange slices between processors
+     iterating different chunk values of that loop — not executable;
+   - distributed fusion: unless [allow_distributed_fusion], no array
+     carries a fused index that its distribution splits.
+
+   Every per-role mask is built index by index from the [Aref] and [Dist]
+   predicates, so the mask rules agree with the set rules by
+   construction. The role-only terms — each case's consumption, each
+   rotated role's cost and message per key, the output's resident block
+   per parent fusion — are computed once per variant, and a legal
+   combination only sums them. *)
+
+(* Bit [k] of a mask stands for the [k]-th index of [universe]: every
+   index fused on some edge of the node. *)
+let mask_where universe p =
+  let m = ref 0 in
+  List.iteri (fun k t -> if p t then m := !m lor (1 lsl k)) universe;
+  !m
+
+let mask universe set = mask_where universe (fun t -> Index.Set.mem t set)
+
+let nested a b = a land lnot b = 0 || b land lnot a = 0
+
+(* One side's cases, numbered by legality key: per key its fusion set,
+   that set's mask and whether the child is stored; per case its key. *)
+type side = {
+  cases : (child_case * Index.Set.t) array;
+  keys : (Index.Set.t * int * bool) array;
+  key_of : int array;
+}
+
+let side_of universe cases =
+  let ids = Hashtbl.create 16 and keys = ref [] in
+  let key_of (case, fused) =
+    let stored =
+      match case with Cleaf _ -> false | Cpresum _ | Csol _ -> true
+    in
+    let m = mask universe fused in
+    match Hashtbl.find_opt ids (m, stored) with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length ids in
+      Hashtbl.add ids (m, stored) id;
+      keys := (fused, m, stored) :: !keys;
+      id
+  in
+  let cases = Array.of_list cases in
+  let key_of = Array.map key_of cases in
+  { cases; keys = Array.of_list (List.rev !keys); key_of }
+
+(* [legal.(lk).(rk)]: the parent fusions (indices into [outs], in
+   enumeration order) that [variant] admits with left key [lk] and right
+   key [rk]. *)
+let legal_table cfg universe variant ~outs ~left ~right =
+  let role_masks role =
+    let dist = Variant.dist_of variant role in
+    let dims = Aref.index_set (Variant.aref_of variant role) in
+    let barred =
+      (if cfg.allow_distributed_fusion then 0
+       else mask_where universe (Dist.distributes dist))
+      lor
+      (match Variant.axis_of variant role with
+      | Some axis ->
+        mask_where universe (fun t -> Dist.position_of dist t = Some axis)
+      | None -> 0)
+    in
+    (mask_where universe (fun t -> Index.Set.mem t dims), barred)
+  in
+  let out_dims, out_barred = role_masks Variant.Out in
+  let left_dims, left_barred = role_masks Variant.Left in
+  let right_dims, right_barred = role_masks Variant.Right in
+  (* A role's fused indices that may force the nesting: those of its
+     edge that are also its dimensions — or every index, when the role
+     is not rotated. *)
+  let room role dims fused =
+    if Variant.rotates variant role then dims land fused else -1
+  in
+  Array.map
+    (fun (_, l, l_stored) ->
+      Array.map
+        (fun (_, r, r_stored) ->
+          if
+            l land left_barred <> 0
+            || r land right_barred <> 0
+            || not (nested l r)
+          then [||]
+          else
+            let forced_by_children =
+              (if l_stored then l else 0) lor (if r_stored then r else 0)
+            in
+            let room_lr =
+              room Variant.Left left_dims l land room Variant.Right right_dims r
+            in
+            Array.of_list
+              (List.filter
+                 (fun o ->
+                   let m = outs.(o) in
+                   m land out_barred = 0
+                   && nested l m && nested r m
+                   && (m lor forced_by_children)
+                      land lnot (room_lr land room Variant.Out out_dims m)
+                      = 0)
+                 (List.init (Array.length outs) Fun.id)))
+        right.keys)
+    left.keys
+
+(* Consuming one child case under a variant: the resident words it adds
+   at this node, its presums, and the redistribution of a produced (or
+   pinned shared) value with that message's words; [None] when the
+   redistribution is illegal under the edge fusion. *)
+type consumed = {
+  resident : int;
+  own_presums : Plan.presum list;
+  redist : Plan.redist option;
+  redist_words : int;
+}
+
+let consume cfg ext ~rows ~cols ~pinned ~variant role (case, fused) =
+  let local resident own_presums =
+    Some { resident; own_presums; redist = None; redist_words = 0 }
+  in
+  let redistributed ~resident prod =
+    match redistribution cfg ext ~variant ~role ~fused ~prod with
+    | Error `Illegal -> None
+    | Ok None -> local resident []
+    | Ok (Some rd) ->
+      let redist_words =
+        Eqs.dist_size_rect ext ~rows ~cols ~alpha:rd.Plan.to_dist ~fused
+          ~dims:(Aref.indices (Variant.aref_of variant role))
+      in
+      Some { resident; own_presums = []; redist = Some rd; redist_words }
+  in
+  match case with
+  | Cleaf a -> begin
+    match SMap.find_opt (Aref.name a) pinned with
+    | Some (rep_order, stored) ->
+      (* A shared intermediate of a sum, materialized earlier in
+         [stored] over [rep_order]; renaming positionally onto this
+         occurrence's indices gives its effective production
+         distribution. Consumption follows producer rules — free when
+         content-equal, otherwise a costed redistribution — and the
+         stored value is charged resident (unreduced: it outlives this
+         term). *)
+      let prod = Dist.rename stored ~from:rep_order ~into:(Aref.indices a) in
+      redistributed prod
+        ~resident:
+          (Eqs.dist_size_rect ext ~rows ~cols ~alpha:prod
+             ~fused:Index.Set.empty ~dims:(Aref.indices a))
+    | None ->
+      (* Inputs materialize in the required distribution for free. *)
+      local
+        (Eqs.dist_size_rect ext ~rows ~cols
+           ~alpha:(Variant.dist_of variant role) ~fused:Index.Set.empty
+           ~dims:(Aref.indices a))
+        []
+  end
+  | Cpresum { out; sum; source } ->
+    (* The source input stays fully resident; the reduced array is
+       stored under the edge fusion; the reduction itself is local. *)
+    let alpha = Variant.dist_of variant role in
+    local
+      (Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
+         ~dims:(Aref.indices source)
+      + Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused
+          ~dims:(Aref.indices out))
+      [
+        {
+          Plan.out;
+          sum;
+          source;
+          dist = alpha;
+          fused;
+          flops = Extents.size_of ext (Aref.indices source);
+        };
+      ]
+  | Csol s -> redistributed ~resident:0 s.prod_dist
+
 (* Solutions of the subtree rooted at [node]; [parent] provides the fusion
    candidates for the edge above (None at the root: fusion is empty). *)
 let rec solve ctx ~parent node =
@@ -630,58 +807,154 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
   let flops = Contraction.flops ext contraction in
   let out_aref = contraction.Contraction.out in
+  let universe =
+    Index.Set.elements
+      (List.fold_left
+         (fun acc f -> Index.Set.union f acc)
+         Index.Set.empty
+         (f_out_candidates @ List.map snd (left_cases @ right_cases)))
+  in
+  let* () =
+    if List.length universe <= Sys.int_size then Ok ()
+    else
+      err "node %s fuses %d distinct indices; fusion masks hold at most %d"
+        (Aref.name out_aref) (List.length universe) Sys.int_size
+  in
+  let outs = Array.of_list f_out_candidates in
+  let out_masks = Array.map (mask universe) outs in
+  let left = side_of universe left_cases
+  and right = side_of universe right_cases in
   (* One task per Cannon variant: each walks its (left case × right case ×
      parent fusion) block and pushes hits in front, so a task's list is its
      chronological order reversed — exactly what the historical single
-     [solutions := sol :: !solutions] accumulator produced per variant. *)
+     [solutions := sol :: !solutions] accumulator produced per variant.
+     Only the combinations the legality table admits are visited, in that
+     same order. *)
   let enumerate variant =
     check_cancel ctx;
+    let legal = legal_table cfg universe variant ~outs:out_masks ~left ~right in
+    let live = Array.map (Array.exists (fun os -> Array.length os > 0)) legal in
     let alpha_out = Variant.dist_of variant Variant.Out in
+    let out_resident =
+      Array.map
+        (fun fused ->
+          Eqs.dist_size_rect ext ~rows ~cols ~alpha:alpha_out ~fused
+            ~dims:(Aref.indices out_aref))
+        outs
+    in
+    (* Per rotated role, its (cost, message words) per key of that role:
+       a parent fusion for the output, a side key for an operand. *)
+    let rotations =
+      List.map
+        (fun (role, axis) ->
+          let alpha = Variant.dist_of variant role in
+          let dims = Aref.indices (Variant.aref_of variant role) in
+          let key_fusions side = Array.map (fun (f, _, _) -> f) side.keys in
+          let fusions =
+            match role with
+            | Variant.Out -> outs
+            | Variant.Left -> key_fusions left
+            | Variant.Right -> key_fusions right
+          in
+          ( role,
+            Array.map
+              (fun fused ->
+                ( Eqs.rotate_cost_rect ~rcost:cfg.rcost ext ~alpha ~fused ~dims
+                    ~axis,
+                  Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused ~dims ))
+              fusions ))
+        (Variant.rotated variant)
+    in
+    let consumed role side =
+      Array.map
+        (fun case ->
+          lazy
+            (consume cfg ext ~rows ~cols ~pinned:ctx.pinned ~variant role case))
+        side.cases
+    in
+    let left_consumed = consumed Variant.Left left
+    and right_consumed = consumed Variant.Right right in
+    (* The solution of one legal combination, summing the hoisted terms
+       in the order the cost was always summed; [None] over the memory
+       limit. *)
+    let solution_at (left_case, f_left) cl lk (right_case, f_right) cr rk o =
+      let terms =
+        List.map
+          (fun (role, table) ->
+            ( role,
+              table.(match role with
+                     | Variant.Out -> o
+                     | Variant.Left -> lk
+                     | Variant.Right -> rk) ))
+          rotations
+      in
+      let mem =
+        List.fold_left
+          (fun m words -> Memacct.add_message m words)
+          (Memacct.add_resident
+             (Memacct.merge (child_mem left_case) (child_mem right_case))
+             (cl.resident + cr.resident + out_resident.(o)))
+          (List.map (fun (_, (_, words)) -> words) terms
+          @ [ cl.redist_words; cr.redist_words ])
+      in
+      if not (fits cfg mem) then None
+      else
+        let rotations =
+          List.map (fun (role, (cost, _)) -> (role, cost)) terms
+        in
+        let redists = List.filter_map (fun c -> c.redist) [ cl; cr ] in
+        let cost =
+          child_cost left_case +. child_cost right_case
+          +. List.fold_left (fun a (_, c) -> a +. c) 0.0 rotations
+          +. List.fold_left (fun a rd -> a +. rd.Plan.cost) 0.0 redists
+        in
+        let step =
+          {
+            Plan.contraction;
+            variant;
+            fusion_out = outs.(o);
+            fusion_left = f_left;
+            fusion_right = f_right;
+            rotations;
+            redists;
+            flops;
+          }
+        in
+        Some
+          {
+            prod_dist = alpha_out;
+            fused = outs.(o);
+            cost;
+            mem;
+            steps = child_steps left_case @ child_steps right_case @ [ step ];
+            presums =
+              child_presums left_case @ child_presums right_case
+              @ cl.own_presums @ cr.own_presums;
+          }
+    in
     let acc = ref [] in
-    List.iter
-      (fun (left_case, f_left) ->
-        List.iter
-          (fun (right_case, f_right) ->
-            List.iter
-              (fun f_out ->
-                (* Presummed children store their reduced array under
-                   the edge fusion, so like internal children their
-                   fused loops force the node's nesting. *)
-                let internal = function
-                  | Csol _ | Cpresum _ -> true
-                  | Cleaf _ -> false
-                in
-                let forcing =
-                  forcing_set ~f_out ~f_left ~f_right
-                    ~left_internal:(internal left_case)
-                    ~right_internal:(internal right_case)
-                in
-                if
-                  Fusionset.chain [ f_left; f_right; f_out ]
-                  && rotated_context_ok variant ~forcing ~f_out ~f_left
-                       ~f_right
-                  && (cfg.allow_distributed_fusion
-                     || List.for_all
-                          (fun role ->
-                            Index.Set.for_all
-                              (fun t ->
-                                not
-                                  (Dist.distributes
-                                     (Variant.dist_of variant role) t))
-                              (fused_of_role ~f_out ~f_left ~f_right role))
-                          [ Variant.Out; Variant.Left; Variant.Right ])
-                then begin
-                  match
-                    combine cfg ext ~rows ~cols ~pinned:ctx.pinned ~variant
-                      ~contraction ~flops ~alpha_out ~f_out ~f_left ~f_right
-                      ~left_case ~right_case ~out_aref
-                  with
-                  | None -> ()
-                  | Some sol -> acc := sol :: !acc
-                end)
-              f_out_candidates)
-          right_cases)
-      left_cases;
+    Array.iteri
+      (fun li lcase ->
+        let lk = left.key_of.(li) in
+        if live.(lk) then
+          Option.iter
+            (fun cl ->
+              Array.iteri
+                (fun ri rcase ->
+                  let rk = right.key_of.(ri) in
+                  if Array.length legal.(lk).(rk) > 0 then
+                    Option.iter
+                      (fun cr ->
+                        Array.iter
+                          (fun o ->
+                            Option.iter
+                              (fun sol -> acc := sol :: !acc)
+                              (solution_at lcase cl lk rcase cr rk o))
+                          legal.(lk).(rk))
+                      (Lazy.force right_consumed.(ri)))
+                right.cases)
+            (Lazy.force left_consumed.(li)))
+      left.cases;
     !acc
   in
   let variants = Array.of_list (Variant.all contraction) in
@@ -751,148 +1024,6 @@ and child_cases ctx parent_node child =
   | _ ->
     let* sols = solve ctx ~parent:(Some parent_node) child in
     Ok (List.map (fun s -> (Csol s, s.fused)) sols)
-
-(* Assemble one candidate solution at a contraction node; [None] when the
-   combination is illegal or over the memory limit. *)
-and combine cfg ext ~rows ~cols ~pinned ~variant ~contraction ~flops
-    ~alpha_out
-    ~f_out ~f_left ~f_right ~left_case ~right_case ~out_aref =
-  let consume role case fused =
-    match case with
-    | Cleaf a -> begin
-      match SMap.find_opt (Aref.name a) pinned with
-      | Some (rep_order, stored) ->
-        (* A shared intermediate of a sum, materialized earlier in
-           [stored] over [rep_order]; renaming positionally onto this
-           occurrence's indices gives its effective production
-           distribution. Consumption follows producer rules — free when
-           content-equal, otherwise a costed redistribution — and the
-           stored value is charged resident (unreduced: it outlives this
-           term). *)
-        let prod = Dist.rename stored ~from:rep_order ~into:(Aref.indices a) in
-        let resident =
-          Eqs.dist_size_rect ext ~rows ~cols ~alpha:prod
-            ~fused:Index.Set.empty ~dims:(Aref.indices a)
-        in
-        begin
-          match redistribution cfg ext ~variant ~role ~fused ~prod with
-          | Error `Illegal -> Error `Illegal
-          | Ok rd -> Ok ((resident, []), rd)
-        end
-      | None ->
-        (* Inputs materialize in the required distribution for free. *)
-        let alpha = Variant.dist_of variant role in
-        let resident =
-          Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
-            ~dims:(Aref.indices a)
-        in
-        Ok ((resident, []), None)
-    end
-    | Cpresum { out; sum; source } ->
-      (* The source input stays fully resident; the reduced array is
-         stored under the edge fusion; the reduction itself is local. *)
-      let alpha = Variant.dist_of variant role in
-      let resident =
-        Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty
-          ~dims:(Aref.indices source)
-        + Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused
-            ~dims:(Aref.indices out)
-      in
-      let ps =
-        {
-          Plan.out;
-          sum;
-          source;
-          dist = alpha;
-          fused;
-          flops = Extents.size_of ext (Aref.indices source);
-        }
-      in
-      Ok ((resident, [ ps ]), None)
-    | Csol s -> begin
-      match
-        redistribution cfg ext ~variant ~role ~fused ~prod:s.prod_dist
-      with
-      | Error `Illegal -> Error `Illegal
-      | Ok rd -> Ok ((0, []), rd)
-    end
-  in
-  match
-    ( consume Variant.Left left_case f_left,
-      consume Variant.Right right_case f_right )
-  with
-  | Error `Illegal, _ | _, Error `Illegal -> None
-  | Ok ((res_l, ps_l), rd_l), Ok ((res_r, ps_r), rd_r) ->
-    let rotations =
-      List.map
-        (fun (role, axis) ->
-          let alpha = Variant.dist_of variant role in
-          let fused = fused_of_role ~f_out ~f_left ~f_right role in
-          let dims = Aref.indices (Variant.aref_of variant role) in
-          ( role,
-            Eqs.rotate_cost_rect ~rcost:cfg.rcost ext ~alpha ~fused ~dims
-              ~axis ))
-        (Variant.rotated variant)
-    in
-    let redists = List.filter_map Fun.id [ rd_l; rd_r ] in
-    let cost =
-      child_cost left_case +. child_cost right_case
-      +. List.fold_left (fun a (_, c) -> a +. c) 0.0 rotations
-      +. List.fold_left (fun a rd -> a +. rd.Plan.cost) 0.0 redists
-    in
-    let mem =
-      let m =
-        Memacct.merge (child_mem left_case) (child_mem right_case)
-      in
-      let m = Memacct.add_resident m (res_l + res_r) in
-      let m =
-        Memacct.add_resident m
-          (Eqs.dist_size_rect ext ~rows ~cols ~alpha:alpha_out
-             ~fused:f_out ~dims:(Aref.indices out_aref))
-      in
-      let m =
-        List.fold_left
-          (fun m (role, _) ->
-            let alpha = Variant.dist_of variant role in
-            let fused = fused_of_role ~f_out ~f_left ~f_right role in
-            let dims = Aref.indices (Variant.aref_of variant role) in
-            Memacct.add_message m
-              (Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused ~dims))
-          m (Variant.rotated variant)
-      in
-      List.fold_left
-        (fun m rd ->
-          let dims = Aref.indices (Variant.aref_of variant rd.Plan.role) in
-          let fused = fused_of_role ~f_out ~f_left ~f_right rd.Plan.role in
-          Memacct.add_message m
-            (Eqs.dist_size_rect ext ~rows ~cols ~alpha:rd.Plan.to_dist ~fused
-               ~dims))
-        m redists
-    in
-    if not (fits cfg mem) then None
-    else
-      let step =
-        {
-          Plan.contraction;
-          variant;
-          fusion_out = f_out;
-          fusion_left = f_left;
-          fusion_right = f_right;
-          rotations;
-          redists;
-          flops;
-        }
-      in
-      Some
-        {
-          prod_dist = alpha_out;
-          fused = f_out;
-          cost;
-          mem;
-          steps = child_steps left_case @ child_steps right_case @ [ step ];
-          presums =
-            child_presums left_case @ child_presums right_case @ ps_l @ ps_r;
-        }
 
 let check_grid cfg =
   if
@@ -1082,7 +1213,7 @@ let run_tree (eng : engine) pass cfg tree =
    subtrees found by [Sumexpr.detect] are materialized first, then every
    term is solved as an ordinary tree whose occurrences of a shared value
    are pinned leaves (consumed under producer rules from the stored
-   distribution — see [combine]). The optimizer enumerates every subset
+   distribution — see [consume]). The optimizer enumerates every subset
    of the detected groups (≤ 2^3) — sharing is not always a win: storing
    a shared value costs memory for its whole lifetime and may force
    redistributions its consumers would not otherwise pay — and, per

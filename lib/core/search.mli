@@ -31,6 +31,15 @@
       the group's content key deliberately erases);
     + earliest enumeration order.
 
+    So a group's survivors are exactly its Pareto-minimal (cost, bytes)
+    points, one survivor per point: the least solution at that point
+    under (output rotations, oriented string, enumeration order). The
+    pruner relies on this characterization: it sorts each group by
+    (cost, bytes, output rotations, oriented string, enumeration order)
+    and keeps a solution when its bytes are below those of every
+    solution before it, then lists the survivors in the group's own
+    order — the same list the pairwise dominance rule produces.
+
     The same ordering, extended with the fused-set key, is the total
     order used by the [?beam] cut. Because it never ties, search results
     are byte-for-byte identical for every [?jobs] setting.
