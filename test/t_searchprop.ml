@@ -122,6 +122,91 @@ let test_engines_match_brute_force () =
         engines
   done
 
+(* Does some step fuse a loop whose index its array's distribution
+   splits — the plans only [allow_distributed_fusion] admits? *)
+let fuses_distributed (p : Plan.t) =
+  List.exists
+    (fun (s : Plan.step) ->
+      List.exists
+        (fun (role, fused) ->
+          Index.Set.exists
+            (Dist.distributes (Variant.dist_of s.Plan.variant role))
+            fused)
+        [
+          (Variant.Out, s.Plan.fusion_out);
+          (Variant.Left, s.Plan.fusion_left);
+          (Variant.Right, s.Plan.fusion_right);
+        ])
+    p.Plan.steps
+
+(* Unpruned enumeration with distributed fused loops allowed grows to
+   gigabytes on three contractions over rank-4 arrays; the oracle runs
+   only on instances below that size. *)
+let brute_force_sized tree =
+  let nodes = Tree.internal_nodes tree in
+  let rank a = List.length (Aref.indices a) in
+  List.length nodes <= 2
+  || List.for_all
+       (fun a -> rank a <= 3)
+       (List.map Tree.aref nodes @ Tree.leaves tree)
+
+(* Property: with distributed fused loops allowed (the cost model's
+   N/√P LoopRange branch, which no front end turns on), the search
+   returns exactly the brute-force optimum, under no limit and under a
+   limit that forces fusion; the plan passes the validator in that mode
+   and never costs more than the default search, whose space it
+   contains. The oracle shares the search's legality rules, so the
+   memory-first plan — which fuses as much as those rules allow — is
+   certified by the independent validator too. Some instances must
+   actually fuse a distributed index, so the branch's legality rule is
+   exercised, not just tolerated. *)
+let test_distributed_fusion_matches_brute_force () =
+  let distributed = ref 0 in
+  List.iter
+    (fun { Gencorpus.name; ext; tree } ->
+      let _, default = search_config 4 in
+      let limits =
+        match Search.optimize default ext tree with
+        | Ok p -> [ None; Some (0.5 *. Plan.mem_per_node_bytes p) ]
+        | Error _ -> [ None ]
+      in
+      List.iter
+        (fun limit ->
+          let _, default = search_config ?mem_limit_bytes:limit 4 in
+          let cfg = { default with Search.allow_distributed_fusion = true } in
+          let ctx =
+            Printf.sprintf "%s (limit %s)" name
+              (Option.fold ~none:"none" ~some:(Printf.sprintf "%.0f") limit)
+          in
+          match (Search.optimize cfg ext tree, brute_force_tree cfg ext tree) with
+          | Error _, Error _ -> ()
+          | Ok p, Error msg ->
+            Alcotest.failf "%s: feasible (%.6f) but oracle infeasible: %s" ctx
+              (Plan.comm_cost p) msg
+          | Error msg, Ok _ ->
+            Alcotest.failf "%s: infeasible (%s) but oracle feasible" ctx msg
+          | Ok p, Ok oracle ->
+            if Float.abs (Plan.comm_cost p -. Plan.comm_cost oracle) > 1e-9 then
+              Alcotest.failf "%s: cost %.6f vs oracle %.6f" ctx
+                (Plan.comm_cost p) (Plan.comm_cost oracle);
+            certify ~ctx ~cfg p;
+            certify ~ctx:(ctx ^ " memory-first") ~cfg
+              (get_ok ~ctx
+                 (plan_tree ~objective:Search.Mem_first cfg ext tree));
+            if fuses_distributed p then incr distributed;
+            Result.iter
+              (fun d ->
+                if Plan.comm_cost p > Plan.comm_cost d +. 1e-9 then
+                  Alcotest.failf "%s: cost %.6f above the default's %.6f" ctx
+                    (Plan.comm_cost p) (Plan.comm_cost d))
+              (Search.optimize default ext tree))
+        limits)
+    (List.filter
+       (fun (x : Gencorpus.instance) -> brute_force_sized x.Gencorpus.tree)
+       (Gencorpus.fuzz ~seed:20261017 ~count:16));
+  Alcotest.(check bool) "some plan fuses a distributed index" true
+    (!distributed > 0)
+
 (* ---------- determinism regressions ---------- *)
 
 let plan_str p = Format.asprintf "%a" Plan.pp p
@@ -603,6 +688,8 @@ let suite =
       [
         case "all engines match brute force on random instances"
           test_engines_match_brute_force;
+        case "distributed fusion matches brute force and never costs more"
+          test_distributed_fusion_matches_brute_force;
       ] );
     ( "searchprop.determinism",
       [
