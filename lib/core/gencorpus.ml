@@ -105,9 +105,9 @@ let random_einsum ~seed ~tensors ~rank ~lo ~hi =
   let ext = random_extents rng ~lo ~hi !all_indices in
   (ext, tree)
 
-(* The seconds-scale benchmark corpus. Sizes are chosen so the
-   *sequential* exact DP lands in roughly the 1–10 s band on a current
-   x86 core — big enough that coarse tasks amortize scheduling, the
+(* The benchmark corpus. The einsum sizes make the *sequential* exact
+   DP take hundreds of milliseconds (gencorpus.mli gives the measured
+   times) — big enough that coarse tasks amortize scheduling, the
    regime the search bench gates its speedups on. *)
 let bench_corpus () =
   let chain ~seed ~n ~lo ~hi name =

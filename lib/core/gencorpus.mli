@@ -1,12 +1,12 @@
 (** Seeded problem generators for the search engine.
 
-    The paper's own expressions (CCSD, the running example) solve in
-    tens of milliseconds — far too small to measure the parallel DP, and
-    too small for an anytime mode to matter. This module generates
-    contraction trees big enough that exact DP takes seconds: classic
-    matrix chains (the shape every einsum planner is benchmarked on) and
-    random well-formed einsum trees in the style of omeco /
-    opt_einsum's random test corpora. Everything is driven by an
+    The paper's own expressions (CCSD, the running example) solve in a
+    few to tens of milliseconds — too small to measure the parallel DP,
+    and too small for an anytime mode to matter. This module generates
+    classic matrix chains (the shape every einsum planner is benchmarked
+    on) and random well-formed einsum trees in the style of omeco /
+    opt_einsum's random test corpora, the larger of which take the exact
+    DP hundreds of milliseconds. Everything is driven by an
     explicit seed through {!Tce_util.Prng}, so every instance is
     reproducible byte for byte — the determinism suite re-solves the
     same instance at several [jobs] settings and diffs the plans.
@@ -34,8 +34,10 @@ val random_einsum :
     Raises [Tce_error.Error] on out-of-range arguments. *)
 
 val bench_corpus : unit -> instance list
-(** The fixed seconds-scale corpus the [search] bench section measures:
-    instances sized so the sequential exact DP takes ~1–10 s each. *)
+(** The fixed corpus the [search] bench section measures. The
+    sequential exact DP takes 0.64 ms on chain-16, 0.36 s on
+    einsum-7t-r7 and 0.53 s on einsum-8t-r7 (BENCH_search.json, one
+    run each on a 2-core Xeon host). *)
 
 val fuzz : seed:int -> count:int -> instance list
 (** Small random instances (3–4 tensors, tiny extents) for property
