@@ -44,17 +44,27 @@ let step_time t ~link ~bytes =
 (* A grid axis is an intra-node axis when every nearest-neighbour hop of
    every ring along that axis (wrap-around included) connects two ranks
    on the same node. Ranks are row-major ([Grid.rank_of]), nodes are
-   [procs_per_node] consecutive ranks. *)
+   [ppn] consecutive ranks, so in closed form:
+
+   - the whole grid fits on one node ([rows · cols <= ppn]): every axis;
+   - axis 1 (a column ring, stride [cols]) only when it has length 1:
+     with two or more rows a ring spans [(rows-1) · cols + 1] ranks and
+     every column sits on one node only if the whole grid does;
+   - axis 2 (a row ring, [cols] consecutive ranks) when rows never
+     straddle a node boundary: [ppn mod cols = 0].
+
+   The test suite checks this against the walk over every coordinate. *)
 let axis_link t grid ~axis =
-  let intra =
-    List.for_all
-      (fun coord ->
-        let rank = Grid.rank_of grid coord in
-        let rank' = Grid.rank_of grid (Grid.shift grid coord ~axis ~by:1) in
-        node_of t ~rank = node_of t ~rank:rank')
-      (Grid.coords grid)
+  let ppn = procs_per_node t in
+  if ppn < 1 then invalid_arg "Topology.axis_link: procs per node must be >= 1";
+  let rows = Grid.rows grid and cols = Grid.cols grid in
+  let aligned =
+    match axis with
+    | 1 -> rows = 1
+    | 2 -> ppn mod cols = 0
+    | _ -> invalid_arg "Topology.axis_link: axis must be 1 or 2"
   in
-  if intra then Intra else Inter
+  if aligned || rows * cols <= ppn then Intra else Inter
 
 let link_name = function Intra -> "intra" | Inter -> "inter"
 

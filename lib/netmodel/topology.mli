@@ -45,7 +45,10 @@ val step_time : t -> link:link -> bytes:float -> float
 val axis_link : t -> Grid.t -> axis:int -> link
 (** Link class of grid [axis] (1 or 2): [Intra] iff every
     nearest-neighbour hop of every ring along the axis (wrap-around
-    included) stays on one node. *)
+    included) stays on one node. Constant time: with [ppn] procs per
+    node, [Intra] iff [rows · cols <= ppn], or [axis = 1] and
+    [rows = 1], or [axis = 2] and [ppn mod cols = 0]. Raises
+    [Invalid_argument] on another axis or [ppn < 1]. *)
 
 val link_name : link -> string
 

@@ -72,6 +72,46 @@ let test_axis_link_classification () =
        (Topology.fingerprint topo_uniform)
        (Topology.fingerprint topo_node))
 
+(* The oracle for [Topology.axis_link]'s closed form: walk every grid
+   coordinate and check that its hop along the axis stays on one node. *)
+let walk_axis_link topo grid ~axis =
+  let on_node =
+    List.for_all
+      (fun coord ->
+        let rank = Grid.rank_of grid coord in
+        let rank' = Grid.rank_of grid (Grid.shift grid coord ~axis ~by:1) in
+        Topology.node_of topo ~rank = Topology.node_of topo ~rank:rank')
+      (Grid.coords grid)
+  in
+  if on_node then Topology.Intra else Topology.Inter
+
+(* The closed form equals the walk on every R x C shape of every P up to
+   96, every node width from 1 to 2P, both axes: 98,412 cases. *)
+let test_axis_link_matches_walk () =
+  let cases = ref 0 in
+  for procs = 1 to 96 do
+    List.iter
+      (fun grid ->
+        for ppn = 1 to 2 * procs do
+          let topo =
+            Topology.node_aware
+              { fast_machine with Params.procs_per_node = ppn }
+              ~intra_latency:1e-8 ~intra_bandwidth:1e11
+          in
+          List.iter
+            (fun axis ->
+              incr cases;
+              let got = Topology.axis_link topo grid ~axis in
+              if got <> walk_axis_link topo grid ~axis then
+                Alcotest.failf "%dx%d axis %d at %d procs/node: closed form %s"
+                  (Grid.rows grid) (Grid.cols grid) axis ppn
+                  (Topology.link_name got))
+            [ 1; 2 ]
+        done)
+      (Search.shape_candidates ~procs)
+  done;
+  Alcotest.(check int) "cases checked" 98_412 !cases
+
 let test_uniform_step_time_identity () =
   List.iter
     (fun bytes ->
@@ -398,6 +438,8 @@ let suite =
     ( "topology.model",
       [
         case "axis link classification" test_axis_link_classification;
+        case "closed-form axis link equals the coordinate walk"
+          test_axis_link_matches_walk;
         case "uniform topology prices like the machine"
           test_uniform_step_time_identity;
       ] );
