@@ -949,19 +949,15 @@ let search_cfg () =
   let rcost = Rcost.of_params params ~side:(Grid.side grid) in
   Search.default_config ~grid ~params ~rcost ()
 
-(* Times the DP search under its engine knobs on the generated
-   seconds-scale corpus (Gencorpus.bench_corpus) plus a
-   repeated-subexpression problem where the memo cache actually hits:
-   sequential cache-free, memoized, and the work-stealing pool at
-   jobs=2/4 with the scheduler's task/steal counters, then the greedy
-   seed (validated and timed against the exact DP) and the anytime
-   ladder (checked to converge on the exact optimum). Checks every
-   engine returns byte-identical plans and writes BENCH_search.json.
-   Speedups depend on the host's core count (recorded in the JSON; rows
-   with jobs > cores are flagged oversubscribed — on a single core,
-   extra domains only add GC synchronization, they cannot help). *)
+(* Times the DP search on the generated seconds-scale corpus
+   (Gencorpus.bench_corpus) plus a repeated-subexpression problem where
+   the memo cache actually hits: cache-free and memoized, then the
+   greedy seed (validated and timed against the exact DP) and the
+   anytime ladder (checked to converge on the exact optimum). Checks the
+   memoized plan is byte-identical to the cache-free one and writes
+   BENCH_search.json, recording the host's core count. *)
 let search () =
-  section "Search engine: work-stealing parallel DP on the generated corpus";
+  section "Search engine: the sequential DP on the generated corpus";
   let host_cores = Domain.recommended_domain_count () in
   let cfg = search_cfg () in
   let cases =
@@ -974,8 +970,8 @@ let search () =
   let rows =
     List.map
       (fun { Gencorpus.name; ext; tree } ->
-        let solve ?jobs ?memo () =
-          Result.get_ok (Search.optimize ?jobs ?memo cfg ext tree)
+        let solve ~memo () =
+          Result.get_ok (Search.optimize ~memo cfg ext tree)
         in
         let counter sink k =
           Option.value ~default:0 (List.assoc_opt k (Obs.counters sink))
@@ -988,24 +984,7 @@ let search () =
         in
         let hits = counter memo_sink "search.memo_hits" in
         let misses = counter memo_sink "search.memo_misses" in
-        (* The instrumented run gives exact scheduler counters and the
-           identity-check plan; the timing run is uninstrumented. *)
-        let jobs_row jobs =
-          let sink = Obs.create () in
-          let plan = Obs.with_sink sink (fun () -> solve ~jobs ()) in
-          let seconds, _ = best_of (fun () -> solve ~jobs ()) in
-          ( jobs, seconds, jobs > host_cores,
-            counter sink "parsearch.tasks", counter sink "parsearch.steals",
-            plan )
-        in
-        let jobs_rows = [ jobs_row 2; jobs_row 4 ] in
-        let identical =
-          let baseline = plan_str seq_plan in
-          String.equal baseline (plan_str memo_plan)
-          && List.for_all
-               (fun (_, _, _, _, _, p) -> String.equal baseline (plan_str p))
-               jobs_rows
-        in
+        let identical = String.equal (plan_str seq_plan) (plan_str memo_plan) in
         let greedy_s, greedy_plan =
           best_of (fun () ->
               Result.get_ok (plan_tree ~strategy:Search.Greedy cfg ext tree))
@@ -1026,20 +1005,13 @@ let search () =
         let steps = List.length seq_plan.Plan.steps in
         Format.printf
           "%-14s %d steps  seq %8.2f ms  memo %8.2f ms (%d hits / %d \
-           misses)  %s  identical %b@.  greedy %8.2f ms (%5.2f%% of exact, \
+           misses)  identical %b@.  greedy %8.2f ms (%5.2f%% of exact, \
            valid %b, cost %.4g vs %.4g)  anytime %d rounds, converged %b@."
           name steps (1e3 *. seq_s) (1e3 *. memo_s) hits misses
-          (String.concat "  "
-             (List.map
-                (fun (j, s, over, _, _, _) ->
-                  Printf.sprintf "jobs%d %8.2f ms (%4.2fx%s)" j (1e3 *. s)
-                    (seq_s /. s)
-                    (if over then ", oversubscribed" else ""))
-                jobs_rows))
           identical (1e3 *. greedy_s)
           (100. *. greedy_s /. seq_s)
           greedy_valid greedy_cost exact_cost !rounds converged;
-        ( name, steps, seq_s, memo_s, hits, misses, jobs_rows, identical,
+        ( name, steps, seq_s, memo_s, hits, misses, identical,
           (greedy_s, greedy_valid, greedy_cost, exact_cost),
           (!rounds, converged) ))
       cases
@@ -1052,87 +1024,25 @@ let search () =
         host_cores;
       List.iteri
         (fun k
-             ( name, steps, seq_s, memo_s, hits, misses, jobs_rows,
-               identical, (greedy_s, greedy_valid, greedy_cost, exact_cost),
+             ( name, steps, seq_s, memo_s, hits, misses, identical,
+               (greedy_s, greedy_valid, greedy_cost, exact_cost),
                (rounds, converged) ) ->
           p
             "    {\"name\": %S, \"plan_steps\": %d, \
              \"sequential_seconds\": %.6e, \"memo_seconds\": %.6e, \
              \"speedup_memo\": %.3f, \"memo_hits\": %d, \"memo_misses\": \
              %d,\n\
-            \     \"jobs\": [%s],\n\
             \     \"plans_identical\": %b,\n\
             \     \"greedy\": {\"seconds\": %.6e, \"fraction_of_exact\": \
              %.5f, \"valid\": %b, \"cost\": %.6e, \"exact_cost\": %.6e},\n\
             \     \"anytime\": {\"rounds\": %d, \"converged\": %b}}%s\n"
-            name steps seq_s memo_s (seq_s /. memo_s) hits misses
-            (String.concat ", "
-               (List.map
-                  (fun (j, s, over, tasks, steals, _) ->
-                    Printf.sprintf
-                      "{\"jobs\": %d, \"seconds\": %.6e, \"speedup\": \
-                       %.3f, \"oversubscribed\": %b, \"tasks\": %d, \
-                       \"steals\": %d}"
-                      j s (seq_s /. s) over tasks steals)
-                  jobs_rows))
-            identical greedy_s
+            name steps seq_s memo_s (seq_s /. memo_s) hits misses identical
+            greedy_s
             (greedy_s /. seq_s)
             greedy_valid greedy_cost exact_cost rounds converged
             (if k = List.length rows - 1 then "" else ","))
         rows;
       p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
-
-(* Set by --search-jobs; the parallel width the smoke section checks. *)
-let search_jobs = ref 2
-
-(* One seconds-scale corpus instance, sequential vs the work-stealing
-   pool at [--search-jobs] (default 2). CI's bench-smoke job runs this
-   section and asserts "plans_identical": true in the emitted
-   BENCH_search_smoke.json without paying for the full corpus sweep. *)
-let search_smoke () =
-  section "Search smoke: one corpus instance, sequential vs parallel";
-  let host_cores = Domain.recommended_domain_count () in
-  let jobs = !search_jobs in
-  let { Gencorpus.name; ext; tree } =
-    List.find
-      (fun i -> String.equal i.Gencorpus.name "einsum-7t-r7")
-      (Gencorpus.bench_corpus ())
-  in
-  let cfg = search_cfg () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let seq_s, seq_plan =
-    time (fun () -> Result.get_ok (Search.optimize cfg ext tree))
-  in
-  let par_s, par_plan =
-    time (fun () -> Result.get_ok (Search.optimize ~jobs cfg ext tree))
-  in
-  let identical = String.equal (plan_str seq_plan) (plan_str par_plan) in
-  Format.printf
-    "%s  seq %8.2f ms  jobs%d %8.2f ms (%4.2fx%s)  identical %b@." name
-    (1e3 *. seq_s) jobs (1e3 *. par_s) (seq_s /. par_s)
-    (if jobs > host_cores then ", oversubscribed" else "")
-    identical;
-  let path = "BENCH_search_smoke.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"benchmark\": \"search-smoke\",\n\
-        \  \"case\": %S,\n\
-        \  \"host_cores\": %d,\n\
-        \  \"jobs\": %d,\n\
-        \  \"sequential_seconds\": %.6e,\n\
-        \  \"jobs_seconds\": %.6e,\n\
-        \  \"speedup\": %.3f,\n\
-        \  \"oversubscribed\": %b,\n\
-        \  \"plans_identical\": %b\n\
-         }\n"
-        name host_cores jobs seq_s par_s (seq_s /. par_s)
-        (jobs > host_cores) identical);
   Format.printf "@.wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1142,9 +1052,10 @@ let search_smoke () =
 (* Times the sum optimizer on the planted-sharing corpus
    (Gencorpus.sum_bench_corpus) against the no-sharing baseline
    (max_groups:0 — every term planned independently), validates each
-   optimized sum plan, and checks jobs=1 vs jobs=2 return byte-identical
-   plans. Writes BENCH_sums.json; CI asserts "plans_identical": true and
-   a strictly positive saving on the planted cases. *)
+   optimized sum plan, and checks the memo-free walk returns the
+   byte-identical plan. Writes BENCH_sums.json; CI asserts
+   "plans_identical": true and a strictly positive saving on the planted
+   cases. *)
 let sums () =
   section "Sum optimizer: cross-term CSE vs per-term-independent planning";
   let cfg = search_cfg () in
@@ -1152,13 +1063,13 @@ let sums () =
   let rows =
     List.map
       (fun { Gencorpus.sname; sext; sum } ->
-        let solve ?jobs ?max_groups () =
-          Result.get_ok (Search.optimize_sum ?jobs ?max_groups cfg sext sum)
+        let solve ?memo ?max_groups () =
+          Result.get_ok (Search.optimize_sum ?memo ?max_groups cfg sext sum)
         in
         let opt_s, opt = best_of (fun () -> solve ()) in
         let indep_s, indep = best_of (fun () -> solve ~max_groups:0 ()) in
-        let opt2 = solve ~jobs:2 () in
-        let identical = String.equal (sum_str sext opt) (sum_str sext opt2) in
+        let walk = solve ~memo:false () in
+        let identical = String.equal (sum_str sext opt) (sum_str sext walk) in
         let valid = Result.is_ok (Plan.validate_sum ~ext:sext opt) in
         let opt_c = opt.Plan.sum_comm_cost
         and indep_c = indep.Plan.sum_comm_cost in
@@ -1166,7 +1077,7 @@ let sums () =
         Format.printf
           "%-15s %d terms, %d shared  sum-opt %9.4f s comm (%.2f ms \
            search)  independent %9.4f s comm (%.2f ms search)  saving \
-           %5.1f%%  valid %b  jobs1=jobs2 %b@."
+           %5.1f%%  valid %b  memo-free identical %b@."
           sname
           (List.length opt.Plan.terms)
           (List.length opt.Plan.shared)
@@ -1526,7 +1437,6 @@ let sections =
     ("spmd", spmd);
     ("trace", trace);
     ("search", search);
-    ("search-smoke", search_smoke);
     ("sums", sums);
     ("topology", topology_bench);
     ("serve", serve_bench);
@@ -1539,23 +1449,9 @@ let default =
   ]
 
 let () =
-  let rec parse_flags acc = function
-    | [] -> List.rev acc
-    | "--search-jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        search_jobs := j;
-        parse_flags acc rest
-      | _ ->
-        Format.eprintf "--search-jobs expects a positive integer (got %S)@."
-          n;
-        exit 1)
-    | s :: rest -> parse_flags (s :: acc) rest
-  in
   let requested =
     match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as args) -> (
-      match parse_flags [] args with [] -> default | l -> l)
+    | _ :: (_ :: _ as args) -> args
     | _ -> default
   in
   List.iter

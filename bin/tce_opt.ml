@@ -91,12 +91,6 @@ let faults_arg =
                the surviving sub-grid, reporting the communication-cost \
                delta. The same seed reproduces the same faults exactly.")
 
-let search_jobs_arg =
-  Arg.(value & opt int 1 & info [ "search-jobs" ] ~docv:"N"
-         ~doc:"Width of the search engine's domain pool (default 1: \
-               sequential). Any width returns byte-identical plans; extra \
-               domains only cut wall-clock time on multi-core hosts.")
-
 let beam_arg =
   Arg.(value & opt (some int) None & info [ "beam" ] ~docv:"K"
          ~doc:"Anytime search: keep only the $(docv) best partial solutions \
@@ -246,7 +240,7 @@ let report_plan ~topo ~params ~ext ~tree ~plan ~code ~overlap_factor
 
 let optimize_cmd =
   let run file procs mem_gb flops_mhz latency_us bandwidth_mbs fusion code
-      overlap_factor faults search_jobs beam strategy trace topology nodes
+      overlap_factor faults beam strategy trace topology nodes
       intra_latency_us intra_bandwidth_mbs =
     let sink = Option.map (fun _ -> Obs.create ()) trace in
     Option.iter Obs.install sink;
@@ -276,7 +270,7 @@ let optimize_cmd =
     let req = { Search.problem; shape; strategy; objective } in
     let outcome =
       or_die
-        (Search.plan ~jobs:search_jobs
+        (Search.plan
            ~on_round:(fun r ->
              Format.eprintf "anytime: width %s  best cost %.4e%s@."
                (match r.Search.width with
@@ -323,7 +317,7 @@ let optimize_cmd =
     Term.(
       const run $ file_arg $ procs_arg $ mem_gb_arg $ flops_arg $ latency_arg
       $ bandwidth_arg $ fusion_arg $ code_flag $ overlap_arg $ faults_arg
-      $ search_jobs_arg $ beam_arg $ strategy_arg $ trace_arg $ topology_arg
+      $ beam_arg $ strategy_arg $ trace_arg $ topology_arg
       $ nodes_arg $ intra_latency_arg $ intra_bandwidth_arg)
 
 (* ---------------- codegen ---------------- *)

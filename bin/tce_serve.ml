@@ -19,12 +19,11 @@ let write_line line =
   flush stdout;
   Mutex.unlock out_lock
 
-let serve workers queue_cap cache_cap deadline_ms search_jobs degrade
-    debug_ops =
+let serve workers queue_cap cache_cap deadline_ms degrade debug_ops =
   let cfg =
     Server.default_config ~workers ~queue_capacity:queue_cap
-      ~cache_capacity:cache_cap ?default_deadline_ms:deadline_ms ~search_jobs
-      ~degrade ~debug_ops ()
+      ~cache_capacity:cache_cap ?default_deadline_ms:deadline_ms ~degrade
+      ~debug_ops ()
   in
   let server = Server.create cfg in
   let drained = ref false in
@@ -72,11 +71,6 @@ let deadline_arg =
          ~doc:"Default per-request deadline in milliseconds, applied when \
                a request carries none. Off by default.")
 
-let search_jobs_arg =
-  Arg.(value & opt int 1 & info [ "search-jobs" ] ~docv:"N"
-         ~doc:"Width of each worker's persistent search pool (default 1: \
-               sequential search).")
-
 let degrade_arg =
   let mode_conv =
     Arg.enum [ ("auto", `Auto); ("always", `Always); ("never", `Never) ]
@@ -106,4 +100,4 @@ let () =
        (Cmd.v info
           Term.(
             const serve $ workers_arg $ queue_cap_arg $ cache_cap_arg
-            $ deadline_arg $ search_jobs_arg $ degrade_arg $ debug_ops_arg)))
+            $ deadline_arg $ degrade_arg $ debug_ops_arg)))

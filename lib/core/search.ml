@@ -157,32 +157,20 @@ let orient_key dist =
    finds them in one sweep: a solution survives when its bytes are below
    those of every solution sorted before it (an earlier one has lower
    cost, or equal cost and fewer bytes, or the same point and a smaller
-   tie-break). Survivors are then read off in the group's own order.
-
-   Dominance is a fixed predicate of a group's members, so each group can
-   be filtered on its own: when a pool is supplied, groups are fanned out
-   across its domains. The group collection order and the within-group
-   order are fixed by the insertion sequence alone, so the output — not
-   just the surviving set — is identical however many domains run the
-   filter. *)
-let prune_solutions ?pool ?(fan_min = 0) cfg sols =
-  let fan = List.length sols >= fan_min in
-  let pool_map f arr =
-    match pool with
-    | Some p when fan && Array.length arr > 1 -> Parsearch.map_array p f arr
-    | _ -> Array.map f arr
-  in
+   tie-break). Survivors are then read off in the group's own order. The
+   group collection order and the within-group order are fixed by the
+   insertion sequence alone, so the output list — not just the surviving
+   set — is deterministic. *)
+let prune_solutions cfg sols =
   let annotated =
-    let arr = Array.of_list sols in
-    Array.to_list
-      (pool_map
-         (fun (ord, s) ->
-           ( s,
-             Memacct.node_bytes cfg.params s.mem,
-             out_rotations s.steps,
-             orient_key s.prod_dist,
-             ord ))
-         (Array.mapi (fun ord s -> (ord, s)) arr))
+    List.mapi
+      (fun ord s ->
+        ( s,
+          Memacct.node_bytes cfg.params s.mem,
+          out_rotations s.steps,
+          orient_key s.prod_dist,
+          ord ))
+      sols
   in
   let groups = Hashtbl.create 32 in
   List.iter
@@ -223,19 +211,15 @@ let prune_solutions ?pool ?(fan_min = 0) cfg sols =
     List.filteri (fun x _ -> survives.(x)) group
     |> List.map (fun (s, _, _, _, _) -> s)
   in
-  let group_list = Hashtbl.fold (fun _ group acc -> group :: acc) groups [] in
-  let filtered = pool_map filter_group (Array.of_list group_list) in
-  (* [group_list] holds the fold's visit order reversed, and the old
-     sequential fold accumulated each filtered group in front of the
-     previously visited ones — so concatenating in this order reproduces
-     the historical output byte for byte. *)
-  List.concat (Array.to_list filtered)
+  (* Each filtered group goes in front of the previously visited ones, the
+     historical output order byte for byte. *)
+  Hashtbl.fold (fun _ group acc -> filter_group group @ acc) groups []
 
 (* Anytime narrowing: keep the [k] best survivors under a total order —
    cost, then node bytes, then output rotations, then the oriented
    production-distribution key, then the fused-set key, then enumeration
    order. The order is total (the final component never ties), so the cut
-   is deterministic for every [jobs] setting. *)
+   is deterministic. *)
 let beam_filter cfg beam sols =
   match beam with
   | Some k when List.length sols > k ->
@@ -261,42 +245,9 @@ let err fmt = Format.kasprintf (fun s -> Error s) fmt
 
 module SMap = Map.Make (String)
 
-(* The memo table is shared across concurrent subtree solves, so it is
-   sharded: each shard pairs a mutex with a plain hash table, and a key
-   only ever contends with keys hashing to its shard. Lookup and store
-   are separate critical sections — two domains may race to solve the
-   same key, in which case both miss and the later store wins; that is
-   benign because cached solutions are α-equivalent (hits are
-   plan-invisible, an invariant the fuzz suite checks), only the
-   hit/miss split varies with scheduling. *)
-type memo_shard = {
-  lock : Mutex.t;
-  table : (string, Tree.t * solution list) Hashtbl.t;
-}
-
-type memo = memo_shard array
-
-let memo_shard_count = 16
-
-let memo_create () : memo =
-  Array.init memo_shard_count (fun _ ->
-      { lock = Mutex.create (); table = Hashtbl.create 16 })
-
-let memo_shard (memo : memo) key =
-  memo.(Hashtbl.hash key land (memo_shard_count - 1))
-
-let memo_find memo key =
-  let s = memo_shard memo key in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.table key in
-  Mutex.unlock s.lock;
-  r
-
-let memo_store memo key v =
-  let s = memo_shard memo key in
-  Mutex.lock s.lock;
-  Hashtbl.replace s.table key v;
-  Mutex.unlock s.lock
+(* One solve's memo table: memo key → (the solved subtree, its
+   solutions). *)
+type memo = (string, Tree.t * solution list) Hashtbl.t
 
 (* The content fingerprint of a subtree: structure, index lists and leaf
    names, with intermediate names erased (α-renaming) so that two
@@ -468,8 +419,6 @@ type engine = {
   objective : objective;
   memo : bool;
   cancel : (unit -> bool) option;
-  pool : Parsearch.t option;
-  jobs : int;  (** the pool's width when a pool is supplied *)
   max_groups : int;
 }
 
@@ -489,38 +438,12 @@ type ctx = {
 
 (* Cooperative cancellation, checked at every DP node (and before each
    per-variant enumeration block, so a single huge node stays
-   responsive). The raise propagates through [Parsearch.map_array] —
-   which drains its round first, leaving a persistent pool reusable —
-   and out of [optimize] as the typed error. *)
+   responsive). The raise propagates out of [plan] as the typed error. *)
 let check_cancel ctx =
   match ctx.eng.cancel with
   | Some cancelled when cancelled () ->
     Tce_error.raise_err (Tce_error.Deadline_exceeded { where = "Search.solve" })
   | _ -> ()
-
-(* Contract nodes below a tree node — the size measure for the coarse
-   fork cutover. *)
-let rec contract_weight = function
-  | Tree.Leaf _ -> 0
-  | Tree.Sum (_, _, c) -> contract_weight c
-  | Tree.Mult (_, l, r) -> contract_weight l + contract_weight r
-  | Tree.Contract (_, _, l, r) ->
-    1 + contract_weight l + contract_weight r
-
-(* Cutover thresholds between coarse parallel work and the plain
-   sequential loop. [fork_grain]: minimum contract nodes on *each* side
-   of a node before its two child subtrees are solved as separate tasks
-   (a side without its own contraction is a leaf/presum case list —
-   nothing to fork). [fanout_min]: minimum per-variant candidate block
-   (|left cases| × |right cases| × |parent fusions|) before the node's
-   variant enumeration — and its prune-group filtering — are fanned out
-   item-wise; below it each task would cost microseconds and scheduling
-   would dominate, which is precisely the regression the committed
-   BENCH_search.json recorded on the old per-variant-always pool. Both
-   thresholds are functions of the instance alone, never of timing, so
-   the chosen path — and with it the result — is deterministic. *)
-let fork_grain = 1
-let fanout_min = 256
 
 (* --- Per-node tables (DESIGN.md §12) -------------------------------------
 
@@ -757,7 +680,7 @@ let rec solve ctx ~parent node =
     | Some memo -> begin
       let key = memo_key ctx.cfg node f_out_candidates in
       let cached =
-        match memo_find memo key with
+        match Hashtbl.find_opt memo key with
         | None -> None
         | Some (cached_tree, sols) -> begin
           match alpha_map ~cached:cached_tree ~current:node with
@@ -772,38 +695,15 @@ let rec solve ctx ~parent node =
       | None ->
         if Obs.enabled () then Obs.count "search.memo_misses";
         let* sols = solve_contract ctx ~contraction ~f_out_candidates node l r in
-        memo_store memo key (node, sols);
+        Hashtbl.replace memo key (node, sols);
         Ok sols
     end)
 
 and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let ( let* ) = Result.bind in
   let cfg = ctx.cfg and ext = ctx.eng.ext in
-  (* The coarse unit of work: when both children carry their own
-     contractions, solve them as two independent DP tasks (the right one
-     lands on this domain's deque, where an idle domain steals it).
-     Sequential evaluation short-circuits on a left error without
-     touching the right subtree; the parallel arm evaluates both but
-     reports the left error first, so the surfaced error — like the
-     solutions — is identical for every jobs setting. *)
-  let* left_cases, right_cases =
-    match ctx.eng.pool with
-    | Some p
-      when contract_weight l >= fork_grain && contract_weight r >= fork_grain
-      ->
-      let lr, rr =
-        Parsearch.both p
-          (fun () -> child_cases ctx node l)
-          (fun () -> child_cases ctx node r)
-      in
-      let* lcs = lr in
-      let* rcs = rr in
-      Ok (lcs, rcs)
-    | _ ->
-      let* lcs = child_cases ctx node l in
-      let* rcs = child_cases ctx node r in
-      Ok (lcs, rcs)
-  in
+  let* left_cases = child_cases ctx node l in
+  let* right_cases = child_cases ctx node r in
   let rows = Grid.rows cfg.grid and cols = Grid.cols cfg.grid in
   let flops = Contraction.flops ext contraction in
   let out_aref = contraction.Contraction.out in
@@ -824,9 +724,9 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let out_masks = Array.map (mask universe) outs in
   let left = side_of universe left_cases
   and right = side_of universe right_cases in
-  (* One task per Cannon variant: each walks its (left case × right case ×
-     parent fusion) block and pushes hits in front, so a task's list is its
-     chronological order reversed — exactly what the historical single
+  (* One block per Cannon variant: each walks its (left case × right case
+     × parent fusion) combinations and pushes hits in front, so a block's
+     list is its chronological order reversed — exactly what the single
      [solutions := sol :: !solutions] accumulator produced per variant.
      Only the combinations the legality table admits are visited, in that
      same order. *)
@@ -957,29 +857,12 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
       left.cases;
     !acc
   in
-  let variants = Array.of_list (Variant.all contraction) in
-  (* Fan the per-variant blocks out only when each is big enough to
-     amortize a task; small nodes run the plain loop on this domain. *)
-  let block =
-    List.length left_cases * List.length right_cases
-    * List.length f_out_candidates
-  in
-  let per_variant =
-    match ctx.eng.pool with
-    | Some p when Array.length variants > 1 && block >= fanout_min ->
-      Parsearch.map_array p enumerate variants
-    | _ -> Array.map enumerate variants
-  in
-  (* Reversing the variant order before concatenation reproduces the
+  (* Concatenating the variants' lists last variant first reproduces the
      single-accumulator list (last variant's pushes in front), keeping the
-     enumeration-order tie-break identical for every [jobs] setting. *)
-  let sols = List.concat (List.rev (Array.to_list per_variant)) in
+     enumeration-order tie-break. *)
+  let sols = List.concat (List.rev_map enumerate (Variant.all contraction)) in
   let generated = List.length sols in
-  let sols =
-    if ctx.pass.prune then
-      prune_solutions ?pool:ctx.eng.pool ~fan_min:fanout_min cfg sols
-    else sols
-  in
+  let sols = if ctx.pass.prune then prune_solutions cfg sols else sols in
   let sols = beam_filter cfg ctx.pass.beam sols in
   if Obs.enabled () then begin
     let kept = List.length sols in
@@ -1191,13 +1074,9 @@ let solve_root ?(pinned = SMap.empty) ~traced (eng : engine) pass cfg tree =
   match Tree.validate tree with
   | Error e -> Error e
   | Ok () ->
-    let cache = if eng.memo then Some (memo_create ()) else None in
+    let cache = if eng.memo then Some (Hashtbl.create 64) else None in
     let go () = solve { cfg; eng; pass; cache; pinned } ~parent:None tree in
-    if traced then
-      Obs.span ~cat:"search"
-        ~args:[ ("jobs", string_of_int eng.jobs) ]
-        "search.solve" go
-    else go ()
+    if traced then Obs.span ~cat:"search" "search.solve" go else go ()
 
 let run_tree (eng : engine) pass cfg tree =
   let ( let* ) = Result.bind in
@@ -1225,9 +1104,8 @@ let run_tree (eng : engine) pass cfg tree =
    independently.
 
    Determinism: the mask loop, the cartesian enumeration and the
-   strictly-better-first tie-break are sequential and fixed; the
-   underlying tree solves are jobs-invariant, so the chosen sum plan is
-   byte-identical for every jobs setting. *)
+   strictly-better-first tie-break are fixed, so the chosen sum plan is
+   deterministic. *)
 
 let sum_fingerprint se =
   let buf = Buffer.create 256 in
@@ -1435,8 +1313,8 @@ let rank (eng : engine) o =
 
 (* Deterministic shape choice: the best-ranked plan; ties prefer more
    node-aligned (intra-node) axes, then the more nearly square shape,
-   then fewer rows. The per-shape solver is jobs-invariant and shapes
-   are visited in a fixed order, so the choice is too. *)
+   then fewer rows. Shapes are visited in a fixed order, so the choice
+   is deterministic. *)
 let best_shape eng ~topo ~procs ~solve =
   match shape_candidates ~procs with
   | [] -> err "search: no grid shapes for %d processors" procs
@@ -1540,26 +1418,9 @@ let run_anytime ?on_round eng solve =
   in
   go None None rounds
 
-(* The prelude shared by every request: the engine settings and the
-   domain pool (the caller's, or one owned for the request when
-   [jobs] > 1). *)
-let with_engine ?(jobs = 1) ?(memo = true) ?(max_groups = 3) ?cancel ?pool
-    ~objective ext f =
-  let run pool =
-    f
-      {
-        ext;
-        objective;
-        memo;
-        cancel;
-        pool;
-        max_groups;
-        jobs = (match pool with Some p -> Parsearch.jobs p | None -> jobs);
-      }
-  in
-  match pool with
-  | None when jobs > 1 -> Parsearch.with_pool ~jobs (fun p -> run (Some p))
-  | _ -> run pool
+(* The engine settings shared by every pass of one request. *)
+let engine ?(memo = true) ?(max_groups = 3) ?cancel ~objective ext =
+  { ext; objective; memo; cancel; max_groups }
 
 (* The sum planner shares the full fusion space and ranks its subset
    choice by communication, so a sum takes neither the fusion-free space
@@ -1579,47 +1440,47 @@ let check (req : request) =
        plans every term with the full fusion space)"
   | _ -> Ok ()
 
-let plan ?jobs ?memo ?max_groups ?cancel ?pool ?on_round ext (req : request) =
-  match (jobs, check req) with
-  | Some j, _ when j < 1 -> err "search: jobs must be >= 1 (got %d)" j
-  | _, (Error _ as e) -> e
-  | _, Ok () ->
-    with_engine ?jobs ?memo ?max_groups ?cancel ?pool
-      ~objective:req.objective ext
-    @@ fun eng ->
+let plan ?memo ?max_groups ?cancel ?on_round ext (req : request) =
+  match check req with
+  | Error _ as e -> e
+  | Ok () ->
+    let eng = engine ?memo ?max_groups ?cancel ~objective:req.objective ext in
     let solve pass = solve_shape eng pass req in
-    (match req.strategy with
+    match req.strategy with
     | Exact -> solve exact_pass
     | Beam k -> solve { exact_pass with beam = Some k }
     | Greedy -> first_feasible solve greedy_rungs
-    | Anytime -> run_anytime ?on_round eng solve)
+    | Anytime -> run_anytime ?on_round eng solve
 
 let brute_force ext (req : request) =
   match check req with
   | Error _ as e -> e
   | Ok () ->
-    with_engine ~memo:false ~objective:req.objective ext (fun eng ->
-        solve_shape eng { exact_pass with prune = false } req)
+    solve_shape
+      (engine ~memo:false ~objective:req.objective ext)
+      { exact_pass with prune = false }
+      req
 
 let strategy_of_beam = function None -> Exact | Some k -> Beam k
 
-let optimize ?jobs ?memo ?beam ?cancel ?pool cfg ext tree =
+let optimize ?memo ?beam ?cancel cfg ext tree =
   Result.map tree_plan
-    (plan ?jobs ?memo ?cancel ?pool ext
+    (plan ?memo ?cancel ext
        (request ~strategy:(strategy_of_beam beam) (Grid cfg) (Tree tree)))
 
-let optimize_sum ?jobs ?memo ?beam ?max_groups ?cancel ?pool cfg ext se =
+let optimize_sum ?memo ?beam ?max_groups ?cancel cfg ext se =
   Result.map sum_plan
-    (plan ?jobs ?memo ?max_groups ?cancel ?pool ext
+    (plan ?memo ?max_groups ?cancel ext
        (request ~strategy:(strategy_of_beam beam) (Grid cfg) (Sum se)))
 
-let solution_count ?jobs ?memo ?beam cfg ext tree =
+let solution_count ?memo ?beam cfg ext tree =
   match check_grid cfg with
   | Error e -> Error e
   | Ok () ->
-    with_engine ?jobs ?memo ~objective:Comm ext (fun eng ->
-        Result.map List.length
-          (solve_root ~traced:false eng { exact_pass with beam } cfg tree))
+    Result.map List.length
+      (solve_root ~traced:false
+         (engine ?memo ~objective:Comm ext)
+         { exact_pass with beam } cfg tree)
 
 (* --- Content fingerprint and plan renaming (the serve-layer cache) ----- *)
 

@@ -42,7 +42,7 @@
 
     The same ordering, extended with the fused-set key, is the total
     order used by the [?beam] cut. Because it never ties, search results
-    are byte-for-byte identical for every [?jobs] setting.
+    are byte-for-byte deterministic.
 
     {2 Memoization}
 
@@ -186,9 +186,6 @@ type anytime_round = {
 
 (** The optional engine knobs of {!plan}:
 
-    - [?jobs] (default 1): width of the domain pool enumerating Cannon
-      variants and filtering prune groups (see {!Parsearch}). Any value
-      returns byte-identical plans; values above 1 only change wall-clock.
     - [?memo] (default true): the α-renaming subtree cache above. Off, the
       engine is the original cache-free walk (the brute-force oracle always
       runs unmemoized).
@@ -198,24 +195,13 @@ type anytime_round = {
       at every DP node and before each per-variant enumeration block. When
       it returns [true] the search raises
       [Tce_error.Error (Deadline_exceeded _)] promptly instead of running
-      to completion — the serving layer's per-request deadline hook. The
-      raise leaves any supplied [?pool] reusable.
-    - [?pool] (default absent): a caller-owned persistent {!Parsearch}
-      pool to fan out on, overriding [?jobs] with the pool's width. The
-      pool is {e not} closed on return, so a long-running service can
-      amortize domain spawning across requests.
+      to completion — the serving layer's per-request deadline hook.
     - [?on_round]: observes each completed {!Anytime} round.
 
-    With a pool (or [?jobs] > 1) the engine forks at two granularities:
-    whole-subtree DP solves (both children of a node carrying their own
-    contractions become independent tasks, stolen by idle domains) and,
-    only at nodes whose per-variant candidate block is large enough to
-    amortize a task, item-wise fan-out of variant enumeration and
-    prune-group filtering. Below the cutover the plain sequential loop
-    runs — no task creation. Scheduling never affects results: solutions
-    land in input slots, merge order is fixed, and the memo cache is
-    sharded-mutex domain-safe with α-equivalent entries, so plans are
-    byte-identical for every jobs setting. *)
+    A request is one sequential DP on the calling domain; the memo table
+    lives for one solve. Concurrency comes from the caller: the planning
+    daemon runs one request per worker domain, and requests share no
+    search state. *)
 
 val check : request -> (unit, string) result
 (** The rules a request must meet before any search, enforced by
@@ -226,9 +212,9 @@ val check : request -> (unit, string) result
     communication. *)
 
 val plan :
-  ?jobs:int -> ?memo:bool -> ?max_groups:int -> ?cancel:(unit -> bool)
-  -> ?pool:Parsearch.t -> ?on_round:(anytime_round -> unit) -> Extents.t
-  -> request -> (outcome, string) result
+  ?memo:bool -> ?max_groups:int -> ?cancel:(unit -> bool)
+  -> ?on_round:(anytime_round -> unit) -> Extents.t -> request
+  -> (outcome, string) result
 (** The plan the request asks for, or an error when the request fails
     {!check}, the problem is outside the Cannon template (Hadamard/unary
     nodes), a grid's characterization does not match it, or nothing fits
@@ -242,21 +228,19 @@ val brute_force : Extents.t -> request -> (outcome, string) result
     {!plan}. *)
 
 val optimize :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool)
-  -> ?pool:Parsearch.t -> config -> Extents.t -> Tree.t
-  -> (Plan.t, string) result
+  ?memo:bool -> ?beam:int -> ?cancel:(unit -> bool) -> config -> Extents.t
+  -> Tree.t -> (Plan.t, string) result
 (** {!plan} for one tree on one grid: [Exact], or [Beam k] with
     [~beam:k]. *)
 
 val optimize_sum :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> ?max_groups:int
-  -> ?cancel:(unit -> bool) -> ?pool:Parsearch.t -> config -> Extents.t
-  -> Sumexpr.t -> (Plan.sum, string) result
+  ?memo:bool -> ?beam:int -> ?max_groups:int -> ?cancel:(unit -> bool)
+  -> config -> Extents.t -> Sumexpr.t -> (Plan.sum, string) result
 (** {!plan} for one sum on one grid: [Exact], or [Beam k] with
     [~beam:k]. *)
 
 val solution_count :
-  ?jobs:int -> ?memo:bool -> ?beam:int -> config -> Extents.t -> Tree.t
+  ?memo:bool -> ?beam:int -> config -> Extents.t -> Tree.t
   -> (int, string) result
 (** Number of undominated solutions at the root (diagnostic: shows how
     effective pruning is). *)
@@ -330,9 +314,8 @@ val intra_axis_count : Topology.t -> Grid.t -> int
     index space).
 
     Determinism: the subset loop, the cartesian enumeration and the
-    strictly-better-first tie-break are sequential and fixed; the
-    underlying tree solves are jobs-invariant — so the chosen sum plan
-    is byte-identical for every [?jobs] setting. *)
+    strictly-better-first tie-break are fixed, so the chosen sum plan is
+    too. *)
 
 val sum_fingerprint : Sumexpr.t -> string
 (** Cache key material for a whole sum: the output index list plus, per

@@ -1,6 +1,6 @@
 (* The planning daemon's engine: a bounded request queue in front of a
-   team of worker domains, each holding a persistent Parsearch pool, with
-   an LRU plan cache keyed on the α-renamed content fingerprint.
+   team of worker domains, each running one sequential search at a time,
+   with an LRU plan cache keyed on the α-renamed content fingerprint.
 
    Pipeline (DESIGN.md §13): parse → admission (bounded queue, typed
    [overloaded] rejection with a Fault-style exponential Retry-After
@@ -10,14 +10,12 @@
    [deadline_exceeded]) → reply.
    Admin requests (health/stats/drain) bypass the queue so the daemon
    stays introspectable under saturation. A worker whose request raises
-   unexpectedly answers a typed [worker_crashed] error, tears down and
-   respawns its search pool, and keeps serving — the daemon never dies
-   with a request. *)
+   unexpectedly answers a typed [worker_crashed] error and keeps
+   serving — the daemon never dies with a request. *)
 
 module Search = Tce_core.Search
 module Plan = Tce_core.Plan
 module Baselines = Tce_core.Baselines
-module Parsearch = Tce_core.Parsearch
 module Tree = Tce_expr.Tree
 module Parser = Tce_expr.Parser
 module Problem = Tce_expr.Problem
@@ -43,7 +41,6 @@ type config = {
   queue_capacity : int;
   cache_capacity : int;
   default_deadline_ms : float option;
-  search_jobs : int;
   degrade : degrade_mode;
   debug_ops : bool;
 }
@@ -53,13 +50,13 @@ let default_config ?(workers = 2) ?(queue_capacity = 32) ?(cache_capacity = 128)
     ?(debug_ops = false) () =
   if workers < 1 then invalid_arg "Server: workers must be >= 1";
   if queue_capacity < 1 then invalid_arg "Server: queue_capacity must be >= 1";
-  if search_jobs < 1 then invalid_arg "Server: search_jobs must be >= 1";
+  if search_jobs <> 1 then
+    invalid_arg "Server: search_jobs must be 1 (the search is sequential)";
   {
     workers;
     queue_capacity;
     cache_capacity;
     default_deadline_ms;
-    search_jobs;
     degrade;
     debug_ops;
   }
@@ -244,11 +241,11 @@ let rungs : degrade_mode -> (Search.strategy * float) list = function
    cacheable), or raises [Tce_error.Error (Deadline_exceeded _)] when
    even the last rung cannot finish inside the budget. Without a
    deadline the first rung runs to completion. *)
-let ladder t pool ext (req : Search.request) ~deadline_at =
+let ladder t ext (req : Search.request) ~deadline_at =
   let run strategy cancel =
     Result.map
       (fun o -> (o, strategy <> Search.Exact))
-      (Search.plan ?pool ?cancel ext { req with Search.strategy })
+      (Search.plan ?cancel ext { req with Search.strategy })
   in
   let rec go = function
     | [] -> assert false
@@ -396,7 +393,7 @@ let render ~id ~view ~ext (req : Search.request) outcome ~origin ~approximate =
 (* Handle one work request (optimize/simulate/validate): request, cache
    probe, ladder on a miss, insert-if-exact, view. Returns the response
    and whether the plan came from the cache. *)
-let handle_work t pool ~id ~deadline_at (w : Proto.work) ~view =
+let handle_work t ~id ~deadline_at (w : Proto.work) ~view =
   match request_of_work w with
   | Error msg -> (invalid ~id msg, `Other)
   | Ok (ext, req) -> (
@@ -409,7 +406,7 @@ let handle_work t pool ~id ~deadline_at (w : Proto.work) ~view =
           (fun (outcome, approximate) ->
             if not approximate then cache_add t key req outcome;
             (outcome, approximate, `Cold))
-          (ladder t pool ext req ~deadline_at)
+          (ladder t ext req ~deadline_at)
     in
     match searched with
     | Error msg -> (Proto.error ~id ~kind:"no_plan" ~message:msg [], `Other)
@@ -490,14 +487,6 @@ let stats_json t ~id =
 
 (* ---- workers ----------------------------------------------------------- *)
 
-let respawn_pool t pool_ref =
-  (match !pool_ref with
-  | Some p -> ( try Parsearch.close p with _ -> ())
-  | None -> ());
-  pool_ref :=
-    (if t.cfg.search_jobs > 1 then Some (Parsearch.create ~jobs:t.cfg.search_jobs)
-     else None)
-
 let safe_reply (job : job) json = try job.reply json with _ -> ()
 
 let record_latency t job ~started ~origin ~failed =
@@ -517,7 +506,7 @@ let record_latency t job ~started ~origin ~failed =
   | `Cold -> Obs.Hist.add t.lat_cold total
   | `Other -> ())
 
-let process t pool_ref (job : job) =
+let process t (job : job) =
   let id = job.req.Proto.id in
   let started = now () in
   let expired =
@@ -536,14 +525,11 @@ let process t pool_ref (job : job) =
     match
       match job.req.Proto.op with
       | Proto.Optimize w ->
-        handle_work t !pool_ref ~id ~deadline_at:job.deadline_at w
-          ~view:`Optimize
+        handle_work t ~id ~deadline_at:job.deadline_at w ~view:`Optimize
       | Proto.Simulate w ->
-        handle_work t !pool_ref ~id ~deadline_at:job.deadline_at w
-          ~view:`Simulate
+        handle_work t ~id ~deadline_at:job.deadline_at w ~view:`Simulate
       | Proto.Validate w ->
-        handle_work t !pool_ref ~id ~deadline_at:job.deadline_at w
-          ~view:`Validate
+        handle_work t ~id ~deadline_at:job.deadline_at w ~view:`Validate
       | Proto.Debug_sleep ms ->
         Unix.sleepf (ms /. 1e3);
         (Proto.ok ~id [ ("slept_ms", Json.Num ms) ], `Other)
@@ -573,8 +559,10 @@ let process t pool_ref (job : job) =
         (Proto.error ~id ~kind:(Tce_error.kind e)
            ~message:(Tce_error.to_string e) [])
     | exception ex ->
-      (* Crash isolation: typed reply, then tear down and respawn this
-         worker's search pool — the daemon and its siblings keep going. *)
+      (* Crash isolation: a typed reply, and this worker and its
+         siblings keep going. A request holds no state beyond its own
+         search, so there is nothing to rebuild; [respawned] keeps the
+         reply's wire shape and says the worker serves on. *)
       bump t
         (fun t ->
           t.crashes <- t.crashes + 1;
@@ -583,17 +571,9 @@ let process t pool_ref (job : job) =
       safe_reply job
         (Proto.error ~id ~kind:"worker_crashed"
            ~message:(Printexc.to_string ex)
-           [ ("respawned", Json.Bool true) ]);
-      (try respawn_pool t pool_ref
-       with _ -> pool_ref := None)
+           [ ("respawned", Json.Bool true) ])
 
 let worker_loop t =
-  let pool_ref =
-    ref
-      (if t.cfg.search_jobs > 1 then
-         Some (Parsearch.create ~jobs:t.cfg.search_jobs)
-       else None)
-  in
   let running = ref true in
   while !running do
     Mutex.lock t.lock;
@@ -616,12 +596,9 @@ let worker_loop t =
           if Queue.is_empty t.queue && t.inflight = 0 then
             Condition.broadcast t.idle;
           Mutex.unlock t.lock)
-        (fun () -> process t pool_ref job)
+        (fun () -> process t job)
     end
-  done;
-  (match !pool_ref with
-  | Some p -> ( try Parsearch.close p with _ -> ())
-  | None -> ())
+  done
 
 (* ---- lifecycle --------------------------------------------------------- *)
 

@@ -1,8 +1,9 @@
 (** The planning daemon's engine: bounded admission queue, worker
-    domains with persistent {!Tce_core.Parsearch} pools, an LRU plan
-    cache keyed on the α-renamed content fingerprint, per-request
-    deadlines with cooperative cancellation, and one degradation ladder
-    (exact DP → beam search → greedy seed plan → [deadline_exceeded]).
+    domains that each run one sequential search at a time (so [workers]
+    requests are planned at once), an LRU plan cache keyed on the
+    α-renamed content fingerprint, per-request deadlines with
+    cooperative cancellation, and one degradation ladder (exact DP →
+    beam search → greedy seed plan → [deadline_exceeded]).
 
     Transport-agnostic: callers feed JSON-lines strings in via
     {!submit_line} and receive the response line through a callback, so
@@ -34,8 +35,6 @@ type config = {
   cache_capacity : int;  (** plan-cache entries; 0 disables caching *)
   default_deadline_ms : float option;
       (** applied when a request carries no [deadline_ms] *)
-  search_jobs : int;
-      (** width of each worker's persistent search pool (1: no pool) *)
   degrade : degrade_mode;
   debug_ops : bool;
       (** honour [debug_sleep] / [debug_crash] (tests and load tools) *)
@@ -46,11 +45,13 @@ val default_config :
   -> ?default_deadline_ms:float -> ?search_jobs:int -> ?degrade:degrade_mode
   -> ?debug_ops:bool -> unit -> config
 (** Defaults: 2 workers, queue 32, cache 128, no default deadline,
-    sequential search, [`Auto] degradation, debug ops off. The overload
-    Retry-After hint starts at 25 ms and doubles per consecutive
-    rejection (the fault layer's [timeout · backoff^(k-1)] law), floored
-    by the observed service time times the queue ahead. Raises
-    [Invalid_argument] on out-of-range values. *)
+    [`Auto] degradation, debug ops off. [?search_jobs] is accepted only
+    as 1 and stored nowhere (the search is sequential): the benchmark's
+    [perfbench/serve_mix.ml] still passes it, and it goes when that call
+    drops it. The overload Retry-After hint starts at 25 ms and doubles
+    per consecutive rejection (the fault layer's [timeout ·
+    backoff^(k-1)] law), floored by the observed service time times the
+    queue ahead. Raises [Invalid_argument] on out-of-range values. *)
 
 type t
 

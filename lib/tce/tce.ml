@@ -92,7 +92,6 @@ module Fusionset = Tce_fusion.Fusionset
 module Memmin = Tce_fusion.Memmin
 module Plan = Tce_core.Plan
 module Search = Tce_core.Search
-module Parsearch = Tce_core.Parsearch
 module Gencorpus = Tce_core.Gencorpus
 module Degrade = Tce_core.Degrade
 module Baselines = Tce_core.Baselines

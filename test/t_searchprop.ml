@@ -1,8 +1,7 @@
 (* Fuzz/property suite for the search engine's scaling machinery: the
-   memo cache, domain-parallel enumeration and the beam cut are each
-   checked against the brute-force optimality oracle on seeded random
-   instances, every returned plan is certified by [Plan.validate], and
-   the [Parsearch] pool gets direct unit coverage. *)
+   memo cache and the beam cut are each checked against the brute-force
+   optimality oracle on seeded random instances, and every returned plan
+   is certified by [Plan.validate]. *)
 
 open Tce
 open Helpers
@@ -71,11 +70,10 @@ let certify ~ctx ~(cfg : Search.config) plan =
   | Error msg -> Alcotest.failf "%s: plan fails validation: %s" ctx msg
 
 (* Property: on every random instance, each engine configuration —
-   sequential cache-free, memoized, and domain-parallel — returns a plan
-   with exactly the brute-force optimum cost, and that plan passes the
-   independent validator. Infeasibility must also agree with the oracle.
-   This is the soundness certificate for the memo cache's α-renaming and
-   for the parallel merge order. *)
+   cache-free and memoized — returns a plan with exactly the brute-force
+   optimum cost, and that plan passes the independent validator.
+   Infeasibility must also agree with the oracle. This is the soundness
+   certificate for the memo cache's α-renaming. *)
 let test_engines_match_brute_force () =
   let rng = Prng.create ~seed:20260806 in
   for trial = 1 to 52 do
@@ -93,7 +91,6 @@ let test_engines_match_brute_force () =
       [
         ("seq", fun () -> Search.optimize ~memo:false cfg ext tree);
         ("memo", fun () -> Search.optimize cfg ext tree);
-        ("jobs3", fun () -> Search.optimize ~jobs:3 cfg ext tree);
       ]
     in
     match brute_force_tree cfg ext tree with
@@ -211,55 +208,19 @@ let test_distributed_fusion_matches_brute_force () =
 
 let plan_str p = Format.asprintf "%a" Plan.pp p
 
-(* Parallel search must be byte-for-byte identical to sequential search,
-   and to itself across runs — scheduling must never leak into the
-   tie-break. Checked on the CSE problem (memo hits + α-renaming in play)
-   and on the CCSD term. *)
-let test_jobs_deterministic () =
-  let cse_text =
-    {|
+(* A repeated subexpression: T3 recomputes T1, so the memo cache hits. *)
+let cse_text =
+  {|
 extents a=8, b=8, c=8, k=8
 T1[a,b] = sum[k] X[a,k] * Y[k,b]
 T2[a,c] = sum[b] T1[a,b] * W[b,c]
 T3[a,b] = sum[k] X[a,k] * Y[k,b]
 S[c,b]  = sum[a] T2[a,c] * T3[a,b]
 |}
-  in
-  let problems =
-    [
-      ("cse", load cse_text, 4);
-      ( "ccsd-tiny",
-        (let problem, _, tree = ccsd ~scale:`Tiny in
-         (problem.Problem.extents, tree)),
-        4 );
-    ]
-  in
-  List.iter
-    (fun (name, (ext, tree), procs) ->
-      let _, cfg = search_config procs in
-      let run ?jobs () =
-        plan_str
-          (get_ok ~ctx:(name ^ " optimize") (Search.optimize ?jobs cfg ext tree))
-      in
-      let seq = run () in
-      let par1 = run ~jobs:4 () in
-      let par2 = run ~jobs:4 () in
-      Alcotest.(check string) (name ^ ": jobs=4 matches sequential") seq par1;
-      Alcotest.(check string) (name ^ ": jobs=4 run twice identical") par1 par2)
-    problems
 
 (* The memo cache must be invisible in the result, not just in the cost. *)
 let test_memo_identical_plans () =
-  let ext, tree =
-    load
-      {|
-extents a=8, b=8, c=8, k=8
-T1[a,b] = sum[k] X[a,k] * Y[k,b]
-T2[a,c] = sum[b] T1[a,b] * W[b,c]
-T3[a,b] = sum[k] X[a,k] * Y[k,b]
-S[c,b]  = sum[a] T2[a,c] * T3[a,b]
-|}
-  in
+  let ext, tree = load cse_text in
   let _, cfg = search_config 4 in
   let s ~memo =
     plan_str (get_ok ~ctx:"optimize" (Search.optimize ~memo cfg ext tree))
@@ -269,16 +230,7 @@ S[c,b]  = sum[a] T2[a,c] * T3[a,b]
 (* The memo cache actually hits on the repeated subexpression, and the
    counters surface through Obs. *)
 let test_memo_counters () =
-  let ext, tree =
-    load
-      {|
-extents a=8, b=8, c=8, k=8
-T1[a,b] = sum[k] X[a,k] * Y[k,b]
-T2[a,c] = sum[b] T1[a,b] * W[b,c]
-T3[a,b] = sum[k] X[a,k] * Y[k,b]
-S[c,b]  = sum[a] T2[a,c] * T3[a,b]
-|}
-  in
+  let ext, tree = load cse_text in
   let _, cfg = search_config 4 in
   let sink = Obs.create () in
   let _plan =
@@ -332,9 +284,8 @@ let test_beam_monotone () =
 
 (* Property: on random instances and random node widths, the shape
    search ([Search.plan] on a [Shapes] request) returns exactly the
-   brute-force-over-factorizations optimum, the plan certifies under
-   [Plan.validate] / [Plan.validate_sum], and the result is
-   byte-identical for jobs 1/2/4. Covers uniform and node-aware
+   brute-force-over-factorizations optimum and the plan certifies under
+   [Plan.validate] / [Plan.validate_sum]. Covers uniform and node-aware
    topologies, square and non-square processor counts, single trees and
    seeded tiny sums. *)
 let test_topology_matches_brute_force () =
@@ -366,12 +317,7 @@ let test_topology_matches_brute_force () =
     in
     let base = config_of (Grid.create_rect_exn ~rows:1 ~cols:procs) in
     let req = Search.request (Search.Shapes { topo; procs; base }) problem in
-    let run ?jobs () = Search.plan ?jobs ext req in
-    let str = function
-      | Search.Tree_plan p -> plan_str p
-      | Search.Sum_plan s -> Format.asprintf "%a" (Plan.pp_sum ext) s
-    in
-    match (run (), Search.brute_force ext req) with
+    match (Search.plan ext req, Search.brute_force ext req) with
     | Error _, Error _ -> ()
     | Ok p, Error _ ->
       Alcotest.failf "%s: feasible (%.6f) but oracle infeasible"
@@ -388,7 +334,7 @@ let test_topology_matches_brute_force () =
         (Grid.rows (grid oracle), Grid.cols (grid oracle))
         (Grid.rows (grid p), Grid.cols (grid p));
       let cfg = config_of (grid p) in
-      (match p with
+      match p with
       | Search.Tree_plan p -> certify ~ctx:(ctx "validate") ~cfg p
       | Search.Sum_plan s -> (
         match
@@ -397,17 +343,7 @@ let test_topology_matches_brute_force () =
         | Ok () -> ()
         | Error msg ->
           Alcotest.failf "%s: sum plan fails validation: %s" (ctx "validate")
-            msg));
-      let bytes = str p in
-      List.iter
-        (fun jobs ->
-          match run ~jobs () with
-          | Error msg -> Alcotest.failf "%s: jobs=%d failed: %s" (ctx "jobs") jobs msg
-          | Ok pj ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s: jobs=%d byte-identical" (ctx "jobs") jobs)
-              bytes (str pj))
-        [ 2; 4 ]
+            msg)
   in
   for trial = 1 to 24 do
     let text = gen_instance rng in
@@ -455,9 +391,7 @@ let test_validate_rejects_corrupt_plans () =
   let (_ : string) = get_error ~ctx:"no steps" (Plan.validate empty) in
   ()
 
-(* ---------- multi-term sums: oracle, determinism, certification ---------- *)
-
-let sum_plan_str ext sp = Format.asprintf "%a" (Plan.pp_sum ext) sp
+(* ---------- multi-term sums: oracle and certification ---------- *)
 
 let certify_sum ~ctx ~(cfg : Search.config) ~ext sp =
   match
@@ -470,9 +404,9 @@ let certify_sum ~ctx ~(cfg : Search.config) ~ext sp =
    repeats and sharing family all drawn by the generator, including
    instances with no shareable subtree at all — the fast sum optimizer
    returns exactly the brute-force optimum over all sharing selections ×
-   per-term contraction trees, the plan is certified by the independent
-   sum validator, and the result is byte-identical at jobs 1, 2 and 4.
-   Infeasibility must also agree with the oracle. *)
+   per-term contraction trees and the plan is certified by the
+   independent sum validator. Infeasibility must also agree with the
+   oracle. *)
 let test_sum_optimizer_matches_brute_force () =
   let instances = Gencorpus.sum_fuzz ~seed:20260808 ~count:40 in
   List.iter
@@ -502,19 +436,7 @@ let test_sum_optimizer_matches_brute_force () =
           then
             Alcotest.failf "%s: cost %.6f vs oracle %.6f" ctx
               sp.Plan.sum_comm_cost oracle.Plan.sum_comm_cost;
-          certify_sum ~ctx ~cfg ~ext:sext sp;
-          let reference = sum_plan_str sext sp in
-          List.iter
-            (fun jobs ->
-              let spj =
-                get_ok
-                  ~ctx:(Printf.sprintf "%s jobs=%d" ctx jobs)
-                  (Search.optimize_sum ~jobs cfg sext sum)
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s: jobs=%d byte-identical" ctx jobs)
-                reference (sum_plan_str sext spj))
-            [ 2; 4 ]))
+          certify_sum ~ctx ~cfg ~ext:sext sp))
     instances
 
 (* The acceptance bar from the issue: on the corpus instances with
@@ -607,81 +529,6 @@ let test_single_term_routes_identically () =
       "extents a=8, b=8, c=8\nC[a,c] = sum[b] A[a,b] * B[b,c]\n";
     ]
 
-(* ---------- Parsearch unit tests ---------- *)
-
-let test_parsearch_map_order () =
-  Parsearch.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check int) "jobs" 3 (Parsearch.jobs pool);
-      let xs = Array.init 100 (fun i -> i) in
-      let ys = Parsearch.map_array pool (fun x -> x * x) xs in
-      Alcotest.(check (array int)) "input order"
-        (Array.map (fun x -> x * x) xs)
-        ys;
-      (* The pool replays: a second map on the same pool works. *)
-      let zs = Parsearch.map_array pool (fun x -> x + 1) xs in
-      Alcotest.(check (array int)) "second map"
-        (Array.map (fun x -> x + 1) xs)
-        zs)
-
-let test_parsearch_exception () =
-  Parsearch.with_pool ~jobs:2 (fun pool ->
-      (match
-         Parsearch.map_array pool
-           (fun x -> if x = 7 then failwith "boom" else x)
-           (Array.init 32 (fun i -> i))
-       with
-      | exception Failure msg -> Alcotest.(check string) "message" "boom" msg
-      | _ -> Alcotest.fail "expected the worker exception to re-raise");
-      (* The pool survives a failed map. *)
-      let ys = Parsearch.map_array pool (fun x -> x) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "pool survives" [| 1; 2; 3 |] ys)
-
-(* Regression: close used to check the in-flight flag in a window where
-   map_array had passed admission but not yet posted its round — a close
-   racing into that window joined the workers and the mapper hung forever
-   on its completion condvar. Admission and posting are now one critical
-   section: a racing close either beats the map (which then raises a
-   typed error) or fails typed itself while the map is in flight. Either
-   way, nobody deadlocks. *)
-let test_parsearch_concurrent_close_no_deadlock () =
-  for _ = 1 to 25 do
-    let pool = Parsearch.create ~jobs:4 in
-    let closer =
-      Domain.spawn (fun () ->
-          (* Retry until the pool is quiescent; typed failures only. *)
-          let rec go () =
-            match Parsearch.close pool with
-            | () -> ()
-            | exception Tce_error.Error _ -> go ()
-          in
-          go ())
-    in
-    (* Map until the closer wins; every refusal must be the typed error,
-       and this loop must terminate (the regression hung it). *)
-    (try
-       while true do
-         ignore
-           (Parsearch.map_array pool (fun x -> x + 1) (Array.init 64 Fun.id)
-             : int array)
-       done
-     with Tce_error.Error _ -> ());
-    Domain.join closer;
-    Parsearch.close pool (* idempotent after the race *)
-  done
-
-let test_parsearch_misuse () =
-  (match Parsearch.create ~jobs:0 with
-  | exception Tce_error.Error _ -> ()
-  | pool ->
-    Parsearch.close pool;
-    Alcotest.fail "jobs:0 accepted");
-  let pool = Parsearch.create ~jobs:2 in
-  Parsearch.close pool;
-  Parsearch.close pool (* idempotent *);
-  match Parsearch.map_array pool (fun x -> x) [| 1; 2 |] with
-  | exception Tce_error.Error _ -> ()
-  | _ -> Alcotest.fail "map on a closed pool accepted"
-
 let suite =
   [
     ( "searchprop.oracle",
@@ -693,22 +540,20 @@ let suite =
       ] );
     ( "searchprop.determinism",
       [
-        case "jobs=4 byte-identical to sequential, twice"
-          test_jobs_deterministic;
         case "memo cache invisible in the plan" test_memo_identical_plans;
         case "memo hit/miss counters" test_memo_counters;
         case "beam cost monotone in width" test_beam_monotone;
       ] );
     ( "searchprop.topology",
       [
-        case "shape search matches factorization brute force, jobs-invariant"
+        case "shape search matches factorization brute force"
           test_topology_matches_brute_force;
       ] );
     ( "searchprop.validate",
       [ case "validator rejects corrupted plans" test_validate_rejects_corrupt_plans ] );
     ( "searchprop.sum",
       [
-        case "sum optimizer matches sum brute force, jobs-invariant"
+        case "sum optimizer matches sum brute force"
           test_sum_optimizer_matches_brute_force;
         case "planted sharing strictly beats independent terms"
           test_sum_planted_sharing_beats_independent;
@@ -716,13 +561,5 @@ let suite =
           test_validate_sum_rejects_corrupt;
         case "single-term problems route identically"
           test_single_term_routes_identically;
-      ] );
-    ( "searchprop.parsearch",
-      [
-        case "map_array preserves input order" test_parsearch_map_order;
-        case "worker exception re-raised" test_parsearch_exception;
-        case "misuse raises typed errors" test_parsearch_misuse;
-        case "concurrent close never deadlocks (regression)"
-          test_parsearch_concurrent_close_no_deadlock;
       ] );
   ]

@@ -702,28 +702,22 @@ let test_drain_rejects_new_work () =
 
 (* ---------------- search cancellation (core hook) ---------------- *)
 
-let test_search_cancel_raises_and_pool_survives () =
+let test_search_cancel_raises_then_solves_fresh () =
   let problem, _, tree = ccsd ~scale:`Small in
   let _grid, cfg = search_config 16 in
   let ext = problem.Problem.extents in
-  let pool = Parsearch.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Parsearch.close pool)
-    (fun () ->
-      (match Search.optimize ~pool ~cancel:(fun () -> true) cfg ext tree with
-      | exception Tce_error.Error (Tce_error.Deadline_exceeded _) -> ()
-      | exception e ->
-        Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-      | Ok _ -> Alcotest.fail "cancelled search returned a plan"
-      | Error msg -> Alcotest.failf "cancelled search errored: %s" msg);
-      (* The pool is left quiescent: the same pool solves for real. *)
-      let with_pool =
-        Result.get_ok (Search.optimize ~pool cfg ext tree)
-      in
-      let sequential = Result.get_ok (Search.optimize cfg ext tree) in
-      Alcotest.(check string) "pool reusable, result identical"
-        (Format.asprintf "%a" Plan.pp sequential)
-        (Format.asprintf "%a" Plan.pp with_pool))
+  let solve () =
+    Format.asprintf "%a" Plan.pp (Result.get_ok (Search.optimize cfg ext tree))
+  in
+  let fresh = solve () in
+  (match Search.optimize ~cancel:(fun () -> true) cfg ext tree with
+  | exception Tce_error.Error (Tce_error.Deadline_exceeded _) -> ()
+  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "cancelled search returned a plan"
+  | Error msg -> Alcotest.failf "cancelled search errored: %s" msg);
+  (* The cancelled solve leaves nothing behind: the next one is the
+     fresh one. *)
+  Alcotest.(check string) "next solve equals a fresh one" fresh (solve ())
 
 let suite =
   [
@@ -772,7 +766,7 @@ let suite =
       ] );
     ( "serve.cancel",
       [
-        case "cancel raises typed, pool survives"
-          test_search_cancel_raises_and_pool_survives;
+        case "cancel raises typed, next solve equals a fresh one"
+          test_search_cancel_raises_then_solves_fresh;
       ] );
   ]

@@ -1,67 +1,32 @@
-(* Suite for the strategy layer that rides on the work-stealing
-   scheduler: seeded-corpus determinism across jobs settings and
-   repeats, memo-counter sanity under concurrent solves, greedy-seed
-   validity on fuzzed instances, anytime monotone convergence to the
-   brute-force optimum, the request rules a sum must meet, and
-   nested-fork units for the Parsearch pool. *)
+(* Suite for the strategy layer of the sequential search: seeded-corpus
+   determinism across repeats, greedy-seed validity on fuzzed instances,
+   anytime monotone convergence to the brute-force optimum, and the
+   request rules a sum must meet. *)
 
 open Tce
 open Helpers
 
 let plan_str p = Format.asprintf "%a" Plan.pp p
 
-(* A mid-size generated instance: big enough that the parallel engine
-   actually forks subtrees and fans out variant blocks (thousands of
-   scheduler tasks), small enough that the 16 solves below stay quick. *)
+(* A mid-size generated instance, small enough that the six solves below
+   stay quick. *)
 let instance () = Gencorpus.random_einsum ~seed:3 ~tensors:5 ~rank:5 ~lo:4 ~hi:9
 
-let rec contract_nodes = function
-  | Tree.Leaf _ -> 0
-  | Tree.Contract (_, _, l, r) -> 1 + contract_nodes l + contract_nodes r
-  | Tree.Mult (_, l, r) -> contract_nodes l + contract_nodes r
-  | Tree.Sum (_, _, t) -> contract_nodes t
-
-(* The determinism contract on a generated corpus instance: every jobs
-   setting, solved repeatedly, prints byte-for-byte the sequential
-   engine's plan — scheduling order must never leak into the result. *)
+(* The determinism contract on a generated corpus instance: the memoized
+   search, solved repeatedly, prints byte-for-byte the memo-free walk's
+   plan — neither the memo nor any state left by an earlier solve may
+   leak into the result. *)
 let test_corpus_determinism () =
   let ext, tree = instance () in
   let _, cfg = search_config 16 in
   let baseline =
-    plan_str (get_ok ~ctx:"seq" (Search.optimize ~memo:false cfg ext tree))
+    plan_str (get_ok ~ctx:"walk" (Search.optimize ~memo:false cfg ext tree))
   in
-  List.iter
-    (fun jobs ->
-      for rep = 1 to 5 do
-        let ctx = Printf.sprintf "jobs %d rep %d" jobs rep in
-        let plan = get_ok ~ctx (Search.optimize ~jobs cfg ext tree) in
-        if not (String.equal baseline (plan_str plan)) then
-          Alcotest.failf "%s: plan differs from sequential baseline" ctx
-      done)
-    [ 1; 2; 4 ]
-
-(* Under a concurrent solve the sharded memo's counters must still add
-   up: each contract node performs exactly one lookup, so hits + misses
-   equals the node count whatever the interleaving. *)
-let test_concurrent_memo_counters () =
-  let ext, tree = instance () in
-  let _, cfg = search_config 16 in
-  let nodes = contract_nodes tree in
-  for rep = 1 to 3 do
-    let sink = Obs.create () in
-    ignore
-      (Obs.with_sink sink (fun () ->
-           get_ok ~ctx:"jobs4" (Search.optimize ~jobs:4 cfg ext tree))
-        : Plan.t);
-    let counter k =
-      Option.value ~default:0 (List.assoc_opt k (Obs.counters sink))
-    in
-    let hits = counter "search.memo_hits" in
-    let misses = counter "search.memo_misses" in
-    if hits + misses <> nodes then
-      Alcotest.failf "rep %d: %d hits + %d misses <> %d contract nodes" rep
-        hits misses nodes;
-    if misses < 1 then Alcotest.failf "rep %d: no memo misses" rep
+  for rep = 1 to 5 do
+    let ctx = Printf.sprintf "rep %d" rep in
+    let plan = get_ok ~ctx (Search.optimize cfg ext tree) in
+    if not (String.equal baseline (plan_str plan)) then
+      Alcotest.failf "%s: plan differs from the memo-free walk" ctx
   done
 
 (* Every greedy seed plan on 50 fuzzed instances passes the independent
@@ -168,60 +133,12 @@ let test_sum_baselines_rejected () =
           (Result.is_ok (Search.brute_force ext (req Search.Exact))))
     [ (`All, "all"); (`None, "none"); (`Memmin, "memmin") ]
 
-(* Nested fan-out: a task may call map_array / both on its own pool; the
-   joining worker helps run the region instead of deadlocking. *)
-let test_parsearch_nested_forks () =
-  Parsearch.with_pool ~jobs:3 @@ fun pool ->
-  let outer =
-    Parsearch.map_array pool
-      (fun i ->
-        let inner =
-          Parsearch.map_array pool
-            (fun j -> (10 * i) + j)
-            [| 0; 1; 2; 3 |]
-        in
-        Array.fold_left ( + ) 0 inner)
-      (Array.init 8 Fun.id)
-  in
-  Alcotest.(check (array int))
-    "nested sums"
-    (Array.init 8 (fun i -> (40 * i) + 6))
-    outer;
-  let a, b = Parsearch.both pool (fun () -> 1) (fun () -> 2) in
-  Alcotest.(check (pair int int)) "both returns the pair" (1, 2) (a, b);
-  (match Parsearch.both pool (fun () -> failwith "left boom") (fun () -> 2) with
-  | exception Failure msg ->
-    Alcotest.(check string) "first fork's exception wins" "left boom" msg
-  | _ -> Alcotest.fail "expected the left exception");
-  (* the pool survives the exception *)
-  let r = Parsearch.map_array pool (fun x -> x * x) [| 1; 2; 3 |] in
-  Alcotest.(check (array int)) "pool usable after exception" [| 1; 4; 9 |] r
-
-(* The scheduler's Obs counters: one task per map_array element. *)
-let test_parsearch_counters () =
-  let sink = Obs.create () in
-  Obs.with_sink sink (fun () ->
-      Parsearch.with_pool ~jobs:2 (fun pool ->
-          ignore
-            (Parsearch.map_array pool succ (Array.init 64 Fun.id)
-              : int array)));
-  let counter k =
-    Option.value ~default:0 (List.assoc_opt k (Obs.counters sink))
-  in
-  let tasks = counter "parsearch.tasks" in
-  let steals = counter "parsearch.steals" in
-  if tasks <> 64 then Alcotest.failf "expected 64 tasks, counted %d" tasks;
-  if steals < 0 || steals > tasks then
-    Alcotest.failf "implausible steal count %d for %d tasks" steals tasks
-
 let suite =
   [
     ( "strategy.determinism",
       [
-        case "corpus instance byte-identical at jobs 1/2/4, 5 repeats"
+        case "corpus instance byte-identical to the memo-free walk, 5 repeats"
           test_corpus_determinism;
-        case "memo counters consistent under concurrency"
-          test_concurrent_memo_counters;
       ] );
     ( "strategy.greedy",
       [ case "greedy valid and never optimal-beating on 50 fuzzed instances"
@@ -232,10 +149,4 @@ let suite =
     ( "strategy.request",
       [ case "a sum refuses the fusion-free and memory-first baselines"
           test_sum_baselines_rejected ] );
-    ( "strategy.parsearch",
-      [
-        case "nested forks help instead of deadlocking"
-          test_parsearch_nested_forks;
-        case "task and steal counters" test_parsearch_counters;
-      ] );
   ]
