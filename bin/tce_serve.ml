@@ -52,18 +52,30 @@ let serve workers queue_cap cache_cap deadline_ms degrade debug_ops =
   Server.close server;
   0
 
+(* An integer with a lower bound. A value below it is a usage error
+   naming the flag (exit 124), rejected before the engine's own
+   range checks can raise. *)
+let int_at_least lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= lo -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be at least %d, got %d" lo n))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let workers_arg =
-  Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 1) 2 & info [ "workers" ] ~docv:"N"
          ~doc:"Worker domains consuming the request queue.")
 
 let queue_cap_arg =
-  Arg.(value & opt int 32 & info [ "queue-cap" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 1) 32 & info [ "queue-cap" ] ~docv:"N"
          ~doc:"Admission bound: requests beyond this queue depth are \
                rejected with a typed $(b,overloaded) response and a \
                Retry-After hint.")
 
 let cache_cap_arg =
-  Arg.(value & opt int 128 & info [ "cache-cap" ] ~docv:"N"
+  Arg.(value & opt (int_at_least 0) 128 & info [ "cache-cap" ] ~docv:"N"
          ~doc:"Plan cache capacity (LRU entries); 0 disables caching.")
 
 let deadline_arg =

@@ -5,7 +5,9 @@ Starts the daemon (path passed as argv[1], default the dune build
 output), drives ~20 JSON-lines requests through every response class --
 ok (cold and cache-hit), parse_error, invalid_request, worker_crashed,
 overloaded, deadline_exceeded -- and finishes with a drain, checking the
-process exits cleanly. Exits nonzero on the first violation.
+process exits cleanly. Then checks that out-of-range and unknown flags
+are usage errors (exit 124) that name the flag. Exits nonzero if any
+check failed.
 """
 
 import json
@@ -193,6 +195,19 @@ check(r.get("status") == "ok" and r.get("drained") is True, "drain acks")
 proc.stdin.close()
 rc = proc.wait(timeout=60)
 check(rc == 0, f"clean exit after drain (rc={rc})")
+
+# 21-24. bad flags: a usage error naming the flag, never an uncaught
+# exception (exit 125); --search-jobs no longer exists.
+for flags, needle in [(["--workers", "0"], "option '--workers'"),
+                      (["--queue-cap", "0"], "option '--queue-cap'"),
+                      (["--cache-cap=-1"], "option '--cache-cap'"),
+                      (["--search-jobs", "2"],
+                       "unknown option '--search-jobs'")]:
+    bad = subprocess.run([BIN, *flags], input="", capture_output=True,
+                         text=True, timeout=30)
+    check(bad.returncode == 124 and needle in bad.stderr,
+          f"{' '.join(flags)}: usage error \"{needle}\" "
+          f"(rc={bad.returncode})")
 
 print(f"\n{sent} requests sent, {len(failures)} failures")
 if failures:
