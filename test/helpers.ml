@@ -86,4 +86,28 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
     (QCheck2.Test.make ~count ~name gen prop)
 
+(* Check [prop] on [count] seeded one-byte mutants of [texts]: one byte
+   replaced, inserted or deleted. Half the new bytes come from the
+   texts' own alphabet, so many mutants still parse and reach the later
+   stages. *)
+let check_mutants ~seed ~count ~name texts prop =
+  let mutant =
+    let open QCheck2.Gen in
+    let alphabet = List.of_seq (String.to_seq (String.concat "" texts)) in
+    let* text = oneofl texts in
+    let n = String.length text in
+    let* pos = int_bound (n - 1) in
+    let* byte = oneof [ map Char.chr (int_bound 255); oneofl alphabet ] in
+    let+ op = int_bound 2 in
+    match op with
+    | 0 -> String.mapi (fun i c -> if i = pos then byte else c) text
+    | 1 ->
+      String.sub text 0 pos ^ String.make 1 byte
+      ^ String.sub text pos (n - pos)
+    | _ -> String.sub text 0 pos ^ String.sub text (pos + 1) (n - pos - 1)
+  in
+  QCheck2.Test.check_exn
+    ~rand:(Random.State.make [| seed |])
+    (QCheck2.Test.make ~count ~name ~print:(Printf.sprintf "%S") mutant prop)
+
 let case name f = Alcotest.test_case name `Quick f

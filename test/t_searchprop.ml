@@ -529,6 +529,52 @@ let test_single_term_routes_identically () =
       "extents a=8, b=8, c=8\nC[a,c] = sum[b] A[a,b] * B[b,c]\n";
     ]
 
+(* ---------- untrusted problem texts ---------- *)
+
+(* A two-term sum sharing M = P·Q, so the mutants reach the sum planner
+   and its validator. *)
+let sum_text =
+  "extents a=8, b=8, c=8, d=8\n\
+   M[a,b] = sum[c] P[a,c] * Q[c,b]\n\
+   E[a,d] = sum[b] M[a,b] * R[b,d] + 0.5 * sum[b] M[a,b] * U[b,d]\n"
+
+(* One-byte mutants of the CCSD, CSE and sum texts go through the whole
+   offline path: parse, operation minimization, the search at P = 4 and
+   the validator. Every stage may refuse a mutant with an error, but none
+   may raise, and every plan that comes out must validate. 3,000 seeded
+   mutants take about a second; some must get as far as a plan. *)
+let test_problem_mutants_never_raise () =
+  let _, cfg = search_config 4 in
+  let planned = ref 0 in
+  let plans text =
+    match Parser.parse text with
+    | Error _ -> true
+    | Ok problem -> (
+      let ext = problem.Problem.extents in
+      match Opmin.optimize_to_computation problem with
+      | Error _ -> true
+      | Ok computation -> (
+        let problem =
+          match computation with
+          | Opmin.Single tree -> Search.Tree tree
+          | Opmin.Summed se -> Search.Sum se
+        in
+        match Search.plan ext (Search.request (Search.Grid cfg) problem) with
+        | Error _ -> true
+        | Ok outcome ->
+          incr planned;
+          Result.is_ok
+            (match outcome with
+            | Search.Tree_plan p -> Plan.validate p
+            | Search.Sum_plan s -> Plan.validate_sum ~ext s)))
+  in
+  check_mutants ~seed:20261017 ~count:3000 ~name:"problem mutants"
+    [ ccsd_text ~scale:`Tiny; cse_text; sum_text ]
+    plans;
+  Alcotest.(check bool)
+    (Printf.sprintf "some mutants planned (%d)" !planned)
+    true (!planned > 0)
+
 let suite =
   [
     ( "searchprop.oracle",
@@ -561,5 +607,10 @@ let suite =
           test_validate_sum_rejects_corrupt;
         case "single-term problems route identically"
           test_single_term_routes_identically;
+      ] );
+    ( "searchprop.robustness",
+      [
+        case "one-byte problem mutants plan or fail typed, never raise"
+          test_problem_mutants_never_raise;
       ] );
   ]

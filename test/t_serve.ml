@@ -444,6 +444,32 @@ let test_malformed_lines () =
       Alcotest.(check string) "debug ops gated" "invalid_request"
         (error_kind r))
 
+(* One-byte mutants of three request lines — a work request, a
+   node-topology simulate with a deadline, an admin op — go through
+   [Proto.parse_request]. Each must come back [Ok] or a typed [Error];
+   none may raise. *)
+let test_request_mutants_typed () =
+  let lines =
+    [
+      optimize_req matmul_expr;
+      req
+        [
+          ("id", Json.Str "s");
+          ("op", Json.Str "simulate");
+          ("expr", Json.Str sum_expr);
+          ("procs", Json.Num 8.0);
+          ("topology", Json.Str "node");
+          ("nodes", Json.Num 4.0);
+          ("deadline_ms", Json.Num 250.0);
+        ];
+      {|{"id":3,"op":"stats"}|};
+    ]
+  in
+  check_mutants ~seed:20261017 ~count:5000 ~name:"request mutants" lines
+    (fun line ->
+      match Proto.parse_request line with
+      | Ok _ | Error (`Parse _) | Error (`Invalid _) -> true)
+
 let test_infeasible_memory_is_typed () =
   with_server (default_cfg ()) (fun server ->
       let r =
@@ -744,6 +770,8 @@ let suite =
         case "node topology end to end" test_node_topology_requests;
         case "node keys carry the processor count" test_node_key_carries_procs;
         case "malformed requests typed" test_malformed_lines;
+        case "one-byte request mutants parse or fail typed"
+          test_request_mutants_typed;
         case "infeasible memory typed" test_infeasible_memory_is_typed;
         case "overload rejected with hint" test_overload_rejection;
         case "deadline expires in queue" test_deadline_expires_in_queue;
