@@ -1,15 +1,15 @@
 (** Seeded problem generators for the search engine.
 
     The paper's own expressions (CCSD, the running example) solve in a
-    few to tens of milliseconds — too small to measure the parallel DP,
-    and too small for an anytime mode to matter. This module generates
+    few to tens of milliseconds — too small to measure the DP, and too
+    small for an anytime mode to matter. This module generates
     classic matrix chains (the shape every einsum planner is benchmarked
     on) and random well-formed einsum trees in the style of omeco /
     opt_einsum's random test corpora, the larger of which take the exact
     DP hundreds of milliseconds. Everything is driven by an
     explicit seed through {!Tce_util.Prng}, so every instance is
     reproducible byte for byte — the determinism suite re-solves the
-    same instance at several [jobs] settings and diffs the plans.
+    same instance with and without the memo cache and diffs the plans.
 
     Generated trees always satisfy [Tree.validate] and the contraction
     well-formedness rules ([Formula.check_contract]) at every node: sum
