@@ -110,4 +110,14 @@ let check_mutants ~seed ~count ~name texts prop =
     ~rand:(Random.State.make [| seed |])
     (QCheck2.Test.make ~count ~name ~print:(Printf.sprintf "%S") mutant prop)
 
+(* Run [fs] side by side, one domain each, as the planning daemon runs
+   its workers' searches, and return their results in order. Every
+   domain is joined before the first exception is re-raised. *)
+let on_domains fs =
+  List.map
+    (fun f -> Domain.spawn (fun () -> try Ok (f ()) with e -> Error e))
+    fs
+  |> List.map Domain.join
+  |> List.map (function Ok v -> v | Error e -> raise e)
+
 let case name f = Alcotest.test_case name `Quick f

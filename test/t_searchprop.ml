@@ -1,7 +1,8 @@
 (* Fuzz/property suite for the search engine's scaling machinery: the
    memo cache and the beam cut are each checked against the brute-force
-   optimality oracle on seeded random instances, and every returned plan
-   is certified by [Plan.validate]. *)
+   optimality oracle on seeded random instances, every returned plan is
+   certified by [Plan.validate], and solves run side by side on several
+   domains print the plan of a lone solve. *)
 
 open Tce
 open Helpers
@@ -217,6 +218,37 @@ T2[a,c] = sum[b] T1[a,b] * W[b,c]
 T3[a,b] = sum[k] X[a,k] * Y[k,b]
 S[c,b]  = sum[a] T2[a,c] * T3[a,b]
 |}
+
+(* The daemon runs one sequential search per worker domain, side by
+   side, and requests share no search state: the CSE problem (memo hits
+   + α-renaming in play) and the CCSD term, each solved on two of four
+   domains at once, must print byte-for-byte the plan of a lone solve,
+   on two rounds. *)
+let test_concurrent_solves_deterministic () =
+  let problems =
+    [
+      ("cse", load cse_text);
+      ( "ccsd-tiny",
+        let problem, _, tree = ccsd ~scale:`Tiny in
+        (problem.Problem.extents, tree) );
+    ]
+  in
+  let _, cfg = search_config 4 in
+  let solve (name, (ext, tree)) () =
+    ( name,
+      plan_str (get_ok ~ctx:(name ^ " optimize") (Search.optimize cfg ext tree))
+    )
+  in
+  let alone = List.map (fun p -> solve p ()) problems in
+  for round = 1 to 2 do
+    List.iteri
+      (fun d (name, plan) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: round %d, domain %d matches a lone solve" name
+             round d)
+          (List.assoc name alone) plan)
+      (on_domains (List.map solve (problems @ problems)))
+  done
 
 (* The memo cache must be invisible in the result, not just in the cost. *)
 let test_memo_identical_plans () =
@@ -529,14 +561,51 @@ let test_single_term_routes_identically () =
       "extents a=8, b=8, c=8\nC[a,c] = sum[b] A[a,b] * B[b,c]\n";
     ]
 
-(* ---------- untrusted problem texts ---------- *)
-
-(* A two-term sum sharing M = P·Q, so the mutants reach the sum planner
-   and its validator. *)
+(* A two-term sum sharing M = P·Q, so the sum planner has a real
+   cross-term CSE to find. *)
 let sum_text =
   "extents a=8, b=8, c=8, d=8\n\
    M[a,b] = sum[c] P[a,c] * Q[c,b]\n\
    E[a,d] = sum[b] M[a,b] * R[b,d] + 0.5 * sum[b] M[a,b] * U[b,d]\n"
+
+(* Concurrent solves on the other request axes: a node-aware shape
+   search (8 ranks, 4 per node) of the CCSD term and of the shared sum,
+   each solved twice at once alongside the other on four domains, must
+   print byte-for-byte the plan of a lone solve. *)
+let test_concurrent_shape_and_sum_requests () =
+  let shape =
+    get_ok ~ctx:"machine" (Search.machine ~topology:`Node ~procs:8 ~nodes:2 ())
+  in
+  let request text =
+    let problem = get_ok ~ctx:"parse" (Parser.parse text) in
+    let ext = problem.Problem.extents in
+    match get_ok ~ctx:"opmin" (Opmin.optimize_to_computation problem) with
+    | Opmin.Single tree -> (ext, Search.request shape (Search.Tree tree))
+    | Opmin.Summed se -> (ext, Search.request shape (Search.Sum se))
+  in
+  let requests =
+    [
+      ("ccsd-tiny", request (ccsd_text ~scale:`Tiny));
+      ("sum", request sum_text);
+    ]
+  in
+  let solve (name, (ext, req)) () =
+    match get_ok ~ctx:(name ^ " plan") (Search.plan ext req) with
+    | Search.Tree_plan p -> (name, plan_str p)
+    | Search.Sum_plan s ->
+      (name ^ " (sum)", Format.asprintf "%a" (Plan.pp_sum ext) s)
+  in
+  let alone = List.map (fun r -> solve r ()) requests in
+  Alcotest.(check (list string)) "one tree plan, one sum plan"
+    [ "ccsd-tiny"; "sum (sum)" ] (List.map fst alone);
+  List.iteri
+    (fun d (name, plan) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: domain %d matches a lone solve" name d)
+        (List.assoc name alone) plan)
+    (on_domains (List.concat_map (fun r -> [ solve r; solve r ]) requests))
+
+(* ---------- untrusted problem texts ---------- *)
 
 (* One-byte mutants of the CCSD, CSE and sum texts go through the whole
    offline path: parse, operation minimization, the search at P = 4 and
@@ -586,6 +655,8 @@ let suite =
       ] );
     ( "searchprop.determinism",
       [
+        case "four concurrent solves byte-identical to a lone solve, twice"
+          test_concurrent_solves_deterministic;
         case "memo cache invisible in the plan" test_memo_identical_plans;
         case "memo hit/miss counters" test_memo_counters;
         case "beam cost monotone in width" test_beam_monotone;
@@ -607,6 +678,8 @@ let suite =
           test_validate_sum_rejects_corrupt;
         case "single-term problems route identically"
           test_single_term_routes_identically;
+        case "concurrent shape and sum solves byte-identical to lone ones"
+          test_concurrent_shape_and_sum_requests;
       ] );
     ( "searchprop.robustness",
       [

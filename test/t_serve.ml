@@ -726,6 +726,55 @@ let test_drain_rejects_new_work () =
       Alcotest.(check string) "post-drain status" "error" (status r2);
       Alcotest.(check string) "post-drain kind" "draining" (error_kind r2))
 
+(* The daemon's only search concurrency is its worker domains: with two
+   workers, four distinct requests (a matmul, a chain, a sum, the CCSD
+   term) submitted at once are served side by side, and each plan
+   equals the one a single worker serves for that request. *)
+let test_two_workers_match_one () =
+  let lines =
+    List.mapi
+      (fun k expr -> optimize_req ~id:(float_of_int k) expr)
+      [
+        matmul_expr; chain_expr ~t:"T" ~s:"S"; sum_expr; ccsd_text ~scale:`Tiny;
+      ]
+  in
+  let alone =
+    with_server (default_cfg ()) (fun server ->
+        List.map (fun line -> get_str "plan" (call server line)) lines)
+  in
+  let replies = Array.make (List.length lines) None in
+  with_server (default_cfg ~workers:2 ()) (fun server ->
+      List.iteri
+        (fun k line ->
+          Server.submit_line server line ~reply:(fun s ->
+              replies.(k) <- Some (Json.parse_exn s)))
+        lines;
+      (* Drain waits for every in-flight reply. *)
+      Server.drain server);
+  List.iteri
+    (fun k plan ->
+      match replies.(k) with
+      | None -> Alcotest.failf "request %d: no reply" k
+      | Some r ->
+        Alcotest.(check string) (Printf.sprintf "request %d status" k) "ok"
+          (status r);
+        Alcotest.(check string)
+          (Printf.sprintf "request %d: plan equals one worker's" k)
+          plan (get_str "plan" r))
+    alone
+
+(* [?search_jobs] survives only for source compatibility: 1 is accepted
+   and stored nowhere, any other value is refused. *)
+let test_search_jobs_shim () =
+  Alcotest.(check bool) "search_jobs 1 changes nothing" true
+    (Server.default_config ~search_jobs:1 () = Server.default_config ());
+  List.iter
+    (fun jobs ->
+      match Server.default_config ~search_jobs:jobs () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "search_jobs %d accepted" jobs)
+    [ 0; 2; 4 ]
+
 (* ---------------- search cancellation (core hook) ---------------- *)
 
 let test_search_cancel_raises_then_solves_fresh () =
@@ -744,6 +793,53 @@ let test_search_cancel_raises_then_solves_fresh () =
   (* The cancelled solve leaves nothing behind: the next one is the
      fresh one. *)
   Alcotest.(check string) "next solve equals a fresh one" fresh (solve ())
+
+(* A deadline cancels one worker's search while another worker searches
+   on. Solve after solve whose token fires halfway (after half the polls
+   a full solve makes) raises typed on one domain for as long as a solve
+   runs alongside on another; that solve still equals a fresh one, and
+   so does the cancelling domain's next solve. *)
+let test_cancel_leaves_concurrent_solve_intact () =
+  let problem, _, tree = ccsd ~scale:`Small in
+  let _grid, cfg = search_config 16 in
+  let ext = problem.Problem.extents in
+  let solve ?cancel () =
+    Format.asprintf "%a" Plan.pp
+      (Result.get_ok (Search.optimize ?cancel cfg ext tree))
+  in
+  let polls = ref 0 in
+  let fresh = solve ~cancel:(fun () -> incr polls; false) () in
+  let halfway = !polls / 2 in
+  let cancelled_halfway () =
+    let polls = ref 0 in
+    match solve ~cancel:(fun () -> incr polls; !polls > halfway) () with
+    | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
+      "deadline exceeded"
+    | exception e -> Printexc.to_string e
+    | _ -> "returned a plan"
+  in
+  let finished = Atomic.make false in
+  let alongside =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () -> solve ()))
+  in
+  let rec cancel_until_finished outcomes =
+    let outcomes = cancelled_halfway () :: outcomes in
+    if Atomic.get finished then outcomes else cancel_until_finished outcomes
+  in
+  let outcomes = cancel_until_finished [] in
+  let alongside = Domain.join alongside in
+  List.iteri
+    (fun k outcome ->
+      Alcotest.(check string)
+        (Printf.sprintf "halfway cancel %d raises typed" k)
+        "deadline exceeded" outcome)
+    outcomes;
+  Alcotest.(check string) "concurrent solve equals a fresh one" fresh alongside;
+  Alcotest.(check string) "cancelling domain's next solve equals a fresh one"
+    fresh (solve ())
 
 let suite =
   [
@@ -780,6 +876,9 @@ let suite =
           test_degrade_always_is_approximate;
         case "worker crash isolated" test_worker_crash_isolation;
         case "drain rejects new work" test_drain_rejects_new_work;
+        case "two workers serve side by side as one does"
+          test_two_workers_match_one;
+        case "search_jobs accepted only as 1" test_search_jobs_shim;
       ] );
     ( "serve.sum",
       [
@@ -796,5 +895,7 @@ let suite =
       [
         case "cancel raises typed, next solve equals a fresh one"
           test_search_cancel_raises_then_solves_fresh;
+        case "halfway cancel leaves a concurrent solve intact"
+          test_cancel_leaves_concurrent_solve_intact;
       ] );
   ]

@@ -1,16 +1,23 @@
 (* Suite for the strategy layer of the sequential search: seeded-corpus
-   determinism across repeats, greedy-seed validity on fuzzed instances,
-   anytime monotone convergence to the brute-force optimum, and the
-   request rules a sum must meet. *)
+   determinism across repeats, memo-counter sanity under concurrent
+   solves, greedy-seed validity on fuzzed instances, anytime monotone
+   convergence to the brute-force optimum, and the request rules a sum
+   must meet. *)
 
 open Tce
 open Helpers
 
 let plan_str p = Format.asprintf "%a" Plan.pp p
 
-(* A mid-size generated instance, small enough that the six solves below
+(* A mid-size generated instance, small enough that the solves below
    stay quick. *)
 let instance () = Gencorpus.random_einsum ~seed:3 ~tensors:5 ~rank:5 ~lo:4 ~hi:9
+
+let rec contract_nodes = function
+  | Tree.Leaf _ -> 0
+  | Tree.Contract (_, _, l, r) -> 1 + contract_nodes l + contract_nodes r
+  | Tree.Mult (_, l, r) -> contract_nodes l + contract_nodes r
+  | Tree.Sum (_, _, t) -> contract_nodes t
 
 (* The determinism contract on a generated corpus instance: the memoized
    search, solved repeatedly, prints byte-for-byte the memo-free walk's
@@ -27,6 +34,43 @@ let test_corpus_determinism () =
     let plan = get_ok ~ctx (Search.optimize cfg ext tree) in
     if not (String.equal baseline (plan_str plan)) then
       Alcotest.failf "%s: plan differs from the memo-free walk" ctx
+  done
+
+(* The daemon's worker domains share the one installed Obs sink, and
+   each solve owns its memo. A lone solve performs exactly one lookup
+   per contract node; four solves at once on four domains must add up
+   to exactly four lone solves' hits and misses, whatever the
+   interleaving — no solve may hit another's memo or lose a count. *)
+let test_concurrent_memo_counters () =
+  let ext, tree = instance () in
+  let _, cfg = search_config 16 in
+  let nodes = contract_nodes tree in
+  let counts solves =
+    let sink = Obs.create () in
+    Obs.with_sink sink (fun () ->
+        ignore
+          (on_domains
+             (List.init solves (fun d () ->
+                  get_ok
+                    ~ctx:(Printf.sprintf "solve %d" d)
+                    (Search.optimize cfg ext tree)))
+            : Plan.t list));
+    let counter k =
+      Option.value ~default:0 (List.assoc_opt k (Obs.counters sink))
+    in
+    (counter "search.memo_hits", counter "search.memo_misses")
+  in
+  let hits, misses = counts 1 in
+  if hits + misses <> nodes then
+    Alcotest.failf "lone solve: %d hits + %d misses <> %d contract nodes"
+      hits misses nodes;
+  if misses < 1 then Alcotest.fail "lone solve: no memo misses";
+  for rep = 1 to 3 do
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "rep %d: four concurrent solves count four lone ones"
+         rep)
+      (4 * hits, 4 * misses)
+      (counts 4)
   done
 
 (* Every greedy seed plan on 50 fuzzed instances passes the independent
@@ -139,6 +183,8 @@ let suite =
       [
         case "corpus instance byte-identical to the memo-free walk, 5 repeats"
           test_corpus_determinism;
+        case "memo counters consistent under concurrent solves"
+          test_concurrent_memo_counters;
       ] );
     ( "strategy.greedy",
       [ case "greedy valid and never optimal-beating on 50 fuzzed instances"
