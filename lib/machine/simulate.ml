@@ -34,7 +34,14 @@ let slice_words ext grid ~alpha ~fused ~dims ~b1 ~b2 =
       acc * len)
     1 dims
 
-let simulate_step cluster ext (step : Plan.step) =
+(* Raise the typed deadline error once [cancel] fires. *)
+let poll_cancel = function
+  | Some cancelled when cancelled () ->
+    Tce_error.raise_err
+      (Tce_error.Deadline_exceeded { where = "Simulate.run_plan" })
+  | _ -> ()
+
+let simulate_step ~poll cluster ext (step : Plan.step) =
   let grid = Cluster.grid cluster in
   let procs = Grid.procs grid in
   (* The skewed square schedule gives per-rank (possibly ragged) block
@@ -99,7 +106,7 @@ let simulate_step cluster ext (step : Plan.step) =
               ~args:[ ("axis", string_of_int axis) ]
               ("shift:" ^ aref_name) ~t0:round_t0
               ~t1:(Cluster.clock cluster);
-          poll_crash cluster
+          poll ()
         done
       done;
       if traced then
@@ -121,7 +128,7 @@ let simulate_step cluster ext (step : Plan.step) =
           ("redistribute:"
           ^ Aref.name (Variant.aref_of step.variant rd.Plan.role))
           ~t0:rd_t0 ~t1:(Cluster.clock cluster);
-      poll_crash cluster)
+      poll ())
     step.redists;
   let cmp_t0 = if traced then Cluster.clock cluster else 0. in
   Cluster.compute_uniform cluster
@@ -134,13 +141,17 @@ let simulate_step cluster ext (step : Plan.step) =
     Obs.span_sim ~cat:"step" ("step:" ^ out) ~t0:step_t0
       ~t1:(Cluster.clock cluster)
   end;
-  poll_crash cluster;
+  poll ();
   Cluster.barrier cluster
 
-let run_plan ?faults ?topo ?(overlap = Overlap.none) params ext (plan : Plan.t)
-    =
+let run_plan ?faults ?topo ?(overlap = Overlap.none) ?cancel params ext
+    (plan : Plan.t) =
   Tce_error.protect (fun () ->
       let cluster = Cluster.create ?faults ?topo params plan.grid in
+      let poll () =
+        poll_crash cluster;
+        poll_cancel cancel
+      in
       let procs = Grid.procs plan.grid in
       (* The replay itself is serialized exactly as before; the overlap
          law is applied to each step's (comm, compute) deltas on the
@@ -160,13 +171,13 @@ let run_plan ?faults ?topo ?(overlap = Overlap.none) params ext (plan : Plan.t)
               ("presum:" ^ Aref.name ps.out)
               ~t0 ~t1:(Cluster.clock cluster);
           overlapped := !overlapped +. (Cluster.compute_seconds cluster -. w0);
-          poll_crash cluster)
+          poll ())
         plan.presums;
       List.iter
         (fun step ->
           let c0 = Cluster.comm_seconds cluster in
           let w0 = Cluster.compute_seconds cluster in
-          simulate_step cluster ext step;
+          simulate_step ~poll cluster ext step;
           overlapped :=
             !overlapped
             +. Overlap.step_seconds overlap

@@ -26,8 +26,9 @@ type timing = {
 }
 
 val run_plan :
-  ?faults:Fault.t -> ?topo:Topology.t -> ?overlap:Overlap.t -> Params.t
-  -> Extents.t -> Plan.t -> (timing, Tce_error.t) result
+  ?faults:Fault.t -> ?topo:Topology.t -> ?overlap:Overlap.t
+  -> ?cancel:(unit -> bool) -> Params.t -> Extents.t -> Plan.t
+  -> (timing, Tce_error.t) result
 (** Simulate the whole plan. Each shift round is priced by the link
     class of its axis on [?topo] (the topology the plan was searched on),
     as the node-aware cost model prices it; the default uniform topology
@@ -39,7 +40,10 @@ val run_plan :
     fault model kills a node mid-run. [?overlap] (default [Overlap.none],
     the paper's serialized law) only affects [overlapped_seconds]: the
     replayed clocks themselves stay strictly shift-then-multiply, so the
-    Tables 1–2 reproduction is untouched. *)
+    Tables 1–2 reproduction is untouched. [?cancel] (default absent) is a
+    cooperative cancellation token, polled with the crash check once per
+    shift round, redistribution, presum and step: once it returns [true]
+    the replay stops with [Error (Deadline_exceeded _)]. *)
 
 val run_plan_exn :
   ?faults:Fault.t -> ?overlap:Overlap.t -> Params.t -> Extents.t -> Plan.t
