@@ -955,7 +955,8 @@ let search_cfg () =
    greedy seed (validated and timed against the exact DP) and the
    anytime ladder (checked to converge on the exact optimum). Checks the
    memoized plan is byte-identical to the cache-free one and writes
-   BENCH_search.json, recording the host's core count. *)
+   BENCH_search.json, recording the host's core count and the memoized
+   solve's memo and solution counters. *)
 let search () =
   section "Search engine: the sequential DP on the generated corpus";
   let host_cores = Domain.recommended_domain_count () in
@@ -984,6 +985,8 @@ let search () =
         in
         let hits = counter memo_sink "search.memo_hits" in
         let misses = counter memo_sink "search.memo_misses" in
+        let generated = counter memo_sink "search.solutions_generated" in
+        let kept = counter memo_sink "search.solutions_kept" in
         let identical = String.equal (plan_str seq_plan) (plan_str memo_plan) in
         let greedy_s, greedy_plan =
           best_of (fun () ->
@@ -1005,13 +1008,15 @@ let search () =
         let steps = List.length seq_plan.Plan.steps in
         Format.printf
           "%-14s %d steps  seq %8.2f ms  memo %8.2f ms (%d hits / %d \
-           misses)  identical %b@.  greedy %8.2f ms (%5.2f%% of exact, \
-           valid %b, cost %.4g vs %.4g)  anytime %d rounds, converged %b@."
-          name steps (1e3 *. seq_s) (1e3 *. memo_s) hits misses
-          identical (1e3 *. greedy_s)
+           misses, %d of %d solutions kept)  identical %b@.  greedy %8.2f \
+           ms (%5.2f%% of exact, valid %b, cost %.4g vs %.4g)  anytime %d \
+           rounds, converged %b@."
+          name steps (1e3 *. seq_s) (1e3 *. memo_s) hits misses kept
+          generated identical (1e3 *. greedy_s)
           (100. *. greedy_s /. seq_s)
           greedy_valid greedy_cost exact_cost !rounds converged;
-        ( name, steps, seq_s, memo_s, hits, misses, identical,
+        ( name, steps, seq_s, memo_s, (hits, misses, generated, kept),
+          identical,
           (greedy_s, greedy_valid, greedy_cost, exact_cost),
           (!rounds, converged) ))
       cases
@@ -1024,7 +1029,8 @@ let search () =
         host_cores;
       List.iteri
         (fun k
-             ( name, steps, seq_s, memo_s, hits, misses, identical,
+             ( name, steps, seq_s, memo_s, (hits, misses, generated, kept),
+               identical,
                (greedy_s, greedy_valid, greedy_cost, exact_cost),
                (rounds, converged) ) ->
           p
@@ -1032,11 +1038,13 @@ let search () =
              \"sequential_seconds\": %.6e, \"memo_seconds\": %.6e, \
              \"speedup_memo\": %.3f, \"memo_hits\": %d, \"memo_misses\": \
              %d,\n\
+            \     \"solutions_generated\": %d, \"solutions_kept\": %d,\n\
             \     \"plans_identical\": %b,\n\
             \     \"greedy\": {\"seconds\": %.6e, \"fraction_of_exact\": \
              %.5f, \"valid\": %b, \"cost\": %.6e, \"exact_cost\": %.6e},\n\
             \     \"anytime\": {\"rounds\": %d, \"converged\": %b}}%s\n"
-            name steps seq_s memo_s (seq_s /. memo_s) hits misses identical
+            name steps seq_s memo_s (seq_s /. memo_s) hits misses generated
+            kept identical
             greedy_s
             (greedy_s /. seq_s)
             greedy_valid greedy_cost exact_cost rounds converged

@@ -19,30 +19,41 @@
 
     {2 Pruning and the deterministic tie-break}
 
-    Partial solutions are kept per (production-distribution {e content},
-    fusion set) group and pruned by Pareto dominance on (cost, node
-    bytes) — the paper's "inferior solution" rule — plus the memory limit
-    (memory only grows upward, so an oversized partial solution can never
-    recover). Among solutions tied on cost and bytes, one survives under
-    an explicit total tie-break:
+    A node's {e candidates} are its legal (Cannon variant, left child
+    case, right child case, parent-edge fusion) combinations within the
+    memory limit (memory only grows upward, so an oversized partial
+    solution can never recover). Each is first only priced — cost, node
+    bytes, output rotations and group — and plan steps are built only
+    for the candidates pruning keeps (DESIGN.md §12). Candidates are
+    grouped by (production-distribution {e content}, fusion set) and
+    pruned by Pareto dominance on (cost, node bytes) — the paper's
+    "inferior solution" rule. Among candidates tied on cost and bytes,
+    one survives under an explicit total tie-break:
 
-    + fewer {e output} rotations (a rotated output ends displaced);
+    + fewer {e output} rotations, counted over the node's step and its
+      children's (a rotated output ends displaced);
     + smaller {e oriented} production-distribution string (the pair order
       the group's content key deliberately erases);
-    + earliest enumeration order.
+    + enumeration order: a node lists its candidates newest first and the
+      one listed first wins, so of two exact duplicates the one
+      enumerated later survives.
 
     So a group's survivors are exactly its Pareto-minimal (cost, bytes)
-    points, one survivor per point: the least solution at that point
+    points, one survivor per point: the least candidate at that point
     under (output rotations, oriented string, enumeration order). The
     pruner relies on this characterization: it sorts each group by
     (cost, bytes, output rotations, oriented string, enumeration order)
-    and keeps a solution when its bytes are below those of every
-    solution before it, then lists the survivors in the group's own
-    order — the same list the pairwise dominance rule produces.
+    and keeps a candidate when its bytes are below those of every
+    candidate before it — the same set the pairwise dominance rule
+    keeps. The node's solution list, which its parent's enumeration
+    order reads, is fixed by the candidates alone: the groups in a fixed
+    order of their (content, fusion) keys, each group's survivors in the
+    order they were enumerated.
 
-    The same ordering, extended with the fused-set key, is the total
-    order used by the [?beam] cut. Because it never ties, search results
-    are byte-for-byte deterministic.
+    The same ordering, extended with the fused-set key and then the
+    position in that list, is the total order used by the [?beam] cut.
+    Because it never ties, search results are byte-for-byte
+    deterministic.
 
     {2 Memoization}
 

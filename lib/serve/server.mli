@@ -2,8 +2,9 @@
     domains that each run one sequential search at a time (so [workers]
     requests are planned at once), an LRU plan cache keyed on the
     α-renamed content fingerprint, per-request deadlines with
-    cooperative cancellation, and one degradation ladder (exact DP →
-    beam search → greedy seed plan → [deadline_exceeded]).
+    cooperative cancellation of the search and of a [simulate] replay,
+    and one degradation ladder (exact DP → beam search → greedy seed
+    plan → [deadline_exceeded]).
 
     Transport-agnostic: callers feed JSON-lines strings in via
     {!submit_line} and receive the response line through a callback, so
