@@ -105,10 +105,9 @@ let random_einsum ~seed ~tensors ~rank ~lo ~hi =
   let ext = random_extents rng ~lo ~hi !all_indices in
   (ext, tree)
 
-(* The benchmark corpus. The einsum sizes make the *sequential* exact
-   DP take hundreds of milliseconds (gencorpus.mli gives the measured
-   times) — big enough that coarse tasks amortize scheduling, the
-   regime the search bench gates its speedups on. *)
+(* The benchmark corpus. The einsum sizes make the exact DP take tens
+   of milliseconds (gencorpus.mli gives the measured times), the largest
+   cases the search bench times. *)
 let bench_corpus () =
   let chain ~seed ~n ~lo ~hi name =
     let ext, tree = matrix_chain ~seed ~n ~lo ~hi in
