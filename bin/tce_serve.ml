@@ -76,7 +76,8 @@ let queue_cap_arg =
 
 let cache_cap_arg =
   Arg.(value & opt (int_at_least 0) 128 & info [ "cache-cap" ] ~docv:"N"
-         ~doc:"Plan cache capacity (LRU entries); 0 disables caching.")
+         ~doc:"Plan cache capacity (LRU entries), which also bounds the \
+               memo of derived requests; 0 disables both.")
 
 let deadline_arg =
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"

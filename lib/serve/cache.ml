@@ -1,7 +1,10 @@
-(* Bounded LRU cache fronting the planner. Keys are the full content
-   fingerprints built by [Server] (tree α-fingerprint + extents + machine
-   + grid + memory limit + search knobs), values are (tree, plan) so a
-   hit can be α-renamed onto the requester's intermediate names.
+(* Bounded LRU cache. The daemon keeps two: the plan cache, keyed on the
+   full content fingerprints built by [Server] (tree α-fingerprint +
+   extents + machine + grid + memory limit + search knobs) with values
+   (tree, plan, rendered text) so a hit can be α-renamed onto the
+   requester's intermediate names; and the work memo, keyed on the whole
+   request work item with values (extents, planning request, plan-cache
+   key). Keys are hashed with [Hashtbl.hash] and compared structurally.
 
    Recency is a monotonic stamp per entry; eviction removes the entry
    with the smallest stamp. O(capacity) on insert-with-eviction, which
@@ -9,17 +12,17 @@
    thousand entries, each worth seconds of search). Deterministic: equal
    access sequences produce equal eviction order (stamps never tie). *)
 
-type 'a t = {
+type ('k, 'v) t = {
   capacity : int;
   lock : Mutex.t;
-  table : (string, 'a entry) Hashtbl.t;
+  table : ('k, 'v entry) Hashtbl.t;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-and 'a entry = { value : 'a; mutable stamp : int }
+and 'v entry = { value : 'v; mutable stamp : int }
 
 let create ~capacity =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";

@@ -13,20 +13,27 @@ type t =
 
 (* ---- printing -------------------------------------------------------- *)
 
+(* Plain bytes are copied a run at a time; only quotes, backslashes
+   and control bytes below 0x20 are escaped. *)
 let escape b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let len = String.length s in
+  let start = ref 0 in
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring b s !start (len - !start);
   Buffer.add_char b '"'
 
 let add_num b f =
@@ -69,6 +76,8 @@ let to_string v =
 (* ---- parsing --------------------------------------------------------- *)
 
 exception Parse_error of string
+
+let max_depth = 512
 
 let parse_exn s =
   let pos = ref 0 in
@@ -163,7 +172,15 @@ let parse_exn s =
     | Some f -> Num f
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects around a value. Refusing a
+     container past [max_depth] bounds the recursion, and with it the
+     time and stack one line can cost. *)
+  let open_container depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -172,25 +189,25 @@ let parse_exn s =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-      advance ();
+      open_container depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
         Arr []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
         Arr (List.rev !items)
       end
     | Some '{' ->
-      advance ();
+      open_container depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -202,7 +219,7 @@ let parse_exn s =
           let name = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (name, v)
         in
         let fields = ref [ field () ] in
@@ -217,7 +234,7 @@ let parse_exn s =
       end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> len then fail "trailing characters";
   v

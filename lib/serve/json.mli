@@ -20,9 +20,17 @@ val to_string : t -> string
 
 exception Parse_error of string
 
+val max_depth : int
+(** 512: the deepest nesting of arrays and objects {!parse_exn} accepts.
+    A request is one object of scalar fields plus an [id] echoed
+    verbatim, so the limit only refuses lines built to stall the
+    parser. *)
+
 val parse_exn : string -> t
 (** Strict parse of exactly one JSON value (leading/trailing whitespace
-    allowed, trailing garbage rejected). Raises {!Parse_error}. *)
+    allowed, trailing garbage rejected). Raises {!Parse_error} — also
+    for a value nested deeper than {!max_depth}, with a message naming
+    the limit. *)
 
 val parse : string -> (t, string) result
 

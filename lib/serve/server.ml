@@ -4,7 +4,10 @@
 
    Pipeline (DESIGN.md §13): parse → admission (bounded queue, typed
    [overloaded] rejection with a Fault-style exponential Retry-After
-   hint) → cache probe → search with a cooperative deadline token →
+   hint) → derivation (parse, opmin, machine and cache key, memoized per
+   distinct work item) → cache probe (an entry keeps its rendered plan,
+   which a hit needing no α-renaming replies with as is) → search with
+   a cooperative deadline token →
    degradation ladder (exact DP on a fraction of the budget, then beam
    search labelled [approximate], then the millisecond greedy seed, then
    [deadline_exceeded]) → view (a [simulate] replay polls the same
@@ -80,10 +83,15 @@ type job = {
 (* A cached single-term plan travels with the tree it solved so a hit
    can be renamed onto the request's intermediate names. A cached sum
    plan needs no companion: the sum fingerprint keeps term names in, so
-   a hit is byte-identical as stored. *)
+   a hit is byte-identical as stored. Each entry also keeps the plan's
+   rendered text, rendered once on the cold path. *)
 type cache_entry =
-  | Single_entry of Tree.t * Plan.t
-  | Sum_entry of Plan.sum
+  | Single_entry of Tree.t * Plan.t * string
+  | Sum_entry of Plan.sum * string
+
+(* What parse, opmin and [Search.machine] make of a work item, with its
+   plan-cache key. *)
+type derived = { ext : Extents.t; request : Search.request; key : string }
 
 type t = {
   cfg : config;
@@ -95,7 +103,8 @@ type t = {
   mutable closed : bool;
   mutable inflight : int;
   mutable domains : unit Domain.t list;
-  cache : cache_entry Cache.t;
+  cache : (string, cache_entry) Cache.t;
+  memo : (Proto.work * int64 option list, derived) Cache.t; (* [memo_key] *)
   (* counters under [lock] *)
   mutable accepted : int;
   mutable rejected : int;
@@ -194,16 +203,58 @@ let cache_key (w : Proto.work) ~ext (req : Search.request) =
 let cache_key_of_work w =
   Result.map (fun (ext, req) -> cache_key w ~ext req) (request_of_work w)
 
+(* ---- the work memo ------------------------------------------------------ *)
+
+(* The memo is keyed on the whole work item, so two items that could
+   plan apart never share an entry. Structural equality takes [0.0] and
+   [-0.0] for one float, yet the key builder prints them apart, so each
+   float field also enters the key by its bits. *)
+let memo_key (w : Proto.work) =
+  ( w,
+    List.map
+      (Option.map Int64.bits_of_float)
+      [
+        w.Proto.mem_gb; w.mflops; w.latency_us; w.bandwidth_mbs;
+        w.intra_latency_us; w.intra_bandwidth_mbs;
+      ] )
+
+(* Parse, opmin, machine and key, once per distinct work item: a repeat
+   is answered from the memo. Only completed derivations are stored; an
+   invalid item is derived afresh each time, and one that raises leaves
+   nothing behind. *)
+let derive t w =
+  let mk = memo_key w in
+  match Cache.find t.memo mk with
+  | Some d -> Ok d
+  | None ->
+    Result.map
+      (fun (ext, request) ->
+        let d = { ext; request; key = cache_key w ~ext request } in
+        Cache.add t.memo mk d;
+        d)
+      (request_of_work w)
+
+(* ---- the plan cache ----------------------------------------------------- *)
+
+let plan_text ~ext = function
+  | Search.Tree_plan p -> Format.asprintf "%a" Plan.pp p
+  | Search.Sum_plan s -> Format.asprintf "%a" (Plan.pp_sum ext) s
+
 (* A hit on a tree entry may carry different intermediate names: it is
-   renamed onto this request's tree. The pathological leaf-clash case
-   returns [None] and the request recomputes, same as the memo cache. *)
-let cache_find t key ~ext (req : Search.request) =
+   renamed onto this request's tree and rendered afresh. When no name
+   changes, [rename_plan] hands back the cached plan itself, and the hit
+   replies with the stored text, as a sum hit always does. The
+   pathological leaf-clash case returns [None] and the request
+   recomputes, as the DP's own memo does. *)
+let cache_find t { ext; request; key } =
   let hit =
-    match (Cache.find t.cache key, req.Search.problem) with
-    | Some (Sum_entry s), Search.Sum _ -> Some (Search.Sum_plan s)
-    | Some (Single_entry (ctree, plan)), Search.Tree tree ->
+    match (Cache.find t.cache key, request.Search.problem) with
+    | Some (Sum_entry (s, text)), Search.Sum _ -> Some (Search.Sum_plan s, text)
+    | Some (Single_entry (ctree, plan, text)), Search.Tree tree ->
       Option.map
-        (fun p -> Search.Tree_plan p)
+        (fun p ->
+          let outcome = Search.Tree_plan p in
+          (outcome, if p == plan then text else plan_text ~ext outcome))
         (Search.rename_plan ~ext ~cached:ctree ~current:tree plan)
     | _ -> None
   in
@@ -213,11 +264,11 @@ let cache_find t key ~ext (req : Search.request) =
 
 (* Only exact plans enter the cache: a later hit must be byte-identical
    to a fresh exact search. *)
-let cache_add t key (req : Search.request) outcome =
+let cache_add t { request; key; _ } outcome text =
   let entry =
-    match (req.Search.problem, outcome) with
-    | Search.Tree tree, Search.Tree_plan plan -> Single_entry (tree, plan)
-    | _, Search.Sum_plan s -> Sum_entry s
+    match (request.Search.problem, outcome) with
+    | Search.Tree tree, Search.Tree_plan plan -> Single_entry (tree, plan, text)
+    | _, Search.Sum_plan s -> Sum_entry (s, text)
     | Search.Sum _, Search.Tree_plan _ -> assert false
   in
   let before = (Cache.stats t.cache).Cache.evictions in
@@ -274,7 +325,7 @@ let ladder t ext (req : Search.request) ~deadline_at =
 
 let invalid ~id msg = Proto.error ~id ~kind:"invalid_request" ~message:msg []
 
-let outcome_fields ~ext outcome ~cached ~approximate =
+let outcome_fields ~ext outcome ~text ~cached ~approximate =
   let num f = Json.Num f and count n = Json.Num (float_of_int n) in
   [ ("cached", Json.Bool cached); ("approximate", Json.Bool approximate) ]
   @
@@ -287,7 +338,7 @@ let outcome_fields ~ext outcome ~cached ~approximate =
       ("flops", count p.Plan.flops);
       ("mem_per_node_bytes", num (Plan.mem_per_node_bytes p));
       ("steps", count (List.length p.Plan.steps));
-      ("plan", Json.Str (Format.asprintf "%a" Plan.pp p));
+      ("plan", Json.Str text);
     ]
   | Search.Sum_plan s ->
     [
@@ -299,7 +350,7 @@ let outcome_fields ~ext outcome ~cached ~approximate =
       ("mem_per_node_bytes", num (Plan.sum_mem_per_node_bytes ext s));
       ("terms", count (List.length s.Plan.terms));
       ("shared_values", count (List.length s.Plan.shared));
-      ("plan", Json.Str (Format.asprintf "%a" (Plan.pp_sum ext) s));
+      ("plan", Json.Str text);
     ]
 
 (* Replay on the simulated cluster, priced on the request's topology.
@@ -349,15 +400,15 @@ let simulated ~ext ~deadline_at (req : Search.request) outcome =
 (* The optimize/simulate/validate views of a planned request. A shape
    search also reports the grid it chose. A replay cut by the deadline
    raises the typed error, so it is answered as a cancelled search is. *)
-let render ~id ~view ~ext ~deadline_at (req : Search.request) outcome ~origin
-    ~approximate =
+let render ~id ~view ~ext ~deadline_at (req : Search.request) outcome ~text
+    ~origin ~approximate =
   let base =
     (match (req.Search.shape, outcome) with
     | Search.Grid _, _ -> []
     | Search.Shapes _, Search.Tree_plan { Plan.grid; _ }
     | Search.Shapes _, Search.Sum_plan { Plan.sum_grid = grid; _ } ->
       [ ("grid", Json.Str (Format.asprintf "%a" Grid.pp grid)) ])
-    @ outcome_fields ~ext outcome ~cached:(origin = `Hit) ~approximate
+    @ outcome_fields ~ext outcome ~text ~cached:(origin = `Hit) ~approximate
   in
   match view with
   | `Optimize -> (Proto.ok ~id base, origin)
@@ -396,28 +447,30 @@ let render ~id ~view ~ext ~deadline_at (req : Search.request) outcome ~origin
           (("valid", Json.Bool false) :: ("violation", Json.Str msg) :: base),
         origin ))
 
-(* Handle one work request (optimize/simulate/validate): request, cache
-   probe, ladder on a miss, insert-if-exact, view. Returns the response
-   and whether the plan came from the cache. *)
+(* Handle one work request (optimize/simulate/validate): derivation,
+   cache probe, ladder on a miss, render the plan once, insert-if-exact,
+   view. Returns the response and whether the plan came from the
+   cache. *)
 let handle_work t ~id ~deadline_at (w : Proto.work) ~view =
-  match request_of_work w with
+  match derive t w with
   | Error msg -> (invalid ~id msg, `Other)
-  | Ok (ext, req) -> (
-    let key = cache_key w ~ext req in
+  | Ok ({ ext; request = req; _ } as d) -> (
     let searched =
-      match cache_find t key ~ext req with
-      | Some outcome -> Ok (outcome, false, `Hit)
+      match cache_find t d with
+      | Some (outcome, text) -> Ok (outcome, text, false, `Hit)
       | None ->
         Result.map
           (fun (outcome, approximate) ->
-            if not approximate then cache_add t key req outcome;
-            (outcome, approximate, `Cold))
+            let text = plan_text ~ext outcome in
+            if not approximate then cache_add t d outcome text;
+            (outcome, text, approximate, `Cold))
           (ladder t ext req ~deadline_at)
     in
     match searched with
     | Error msg -> (Proto.error ~id ~kind:"no_plan" ~message:msg [], `Other)
-    | Ok (outcome, approximate, origin) ->
-      render ~id ~view ~ext ~deadline_at req outcome ~origin ~approximate)
+    | Ok (outcome, text, approximate, origin) ->
+      render ~id ~view ~ext ~deadline_at req outcome ~text ~origin
+        ~approximate)
 
 (* ---- admin responses -------------------------------------------------- *)
 
@@ -621,6 +674,7 @@ let create cfg =
       inflight = 0;
       domains = [];
       cache = Cache.create ~capacity:cfg.cache_capacity;
+      memo = Cache.create ~capacity:cfg.cache_capacity;
       accepted = 0;
       rejected = 0;
       consecutive_rejections = 0;

@@ -6,6 +6,12 @@
     and one degradation ladder (exact DP → beam search → greedy seed
     plan → [deadline_exceeded]).
 
+    A repeated request costs a cache probe and a reply: an LRU memo
+    keyed on the whole work item keeps each completed derivation (parse,
+    opmin, machine, cache key), and each plan-cache entry keeps its
+    plan's rendered text, which a hit needing no α-renaming replies with
+    as is. The memo holds [cache_capacity] entries too.
+
     Transport-agnostic: callers feed JSON-lines strings in via
     {!submit_line} and receive the response line through a callback, so
     the same engine serves stdio (see [bin/tce_serve]), an in-process
@@ -33,7 +39,8 @@ type degrade_mode =
 type config = {
   workers : int;  (** worker domains consuming the queue *)
   queue_capacity : int;  (** admission bound; beyond it requests are rejected *)
-  cache_capacity : int;  (** plan-cache entries; 0 disables caching *)
+  cache_capacity : int;
+      (** plan-cache entries, and work-memo entries; 0 disables both *)
   default_deadline_ms : float option;
       (** applied when a request carries no [deadline_ms] *)
   degrade : degrade_mode;
@@ -112,4 +119,5 @@ val queue_depth : t -> int
 val cache_key_of_work : Proto.work -> (string, string) result
 (** The plan-cache key a work request maps to (parse → tree or sum →
     machine → fingerprints; a shape search keys on its processor count
-    and topology). Exposed for the cache-key tests. *)
+    and topology). Derived afresh on every call, bypassing the work
+    memo. Exposed for the cache-key tests. *)

@@ -39,6 +39,11 @@ let work ?(expr = matmul_expr) ?(procs = 4) ?mem_gb ?mflops ?(fusion = `All)
     intra_bandwidth_mbs = None;
   }
 
+let default_cfg ?(workers = 1) ?(queue_capacity = 8) ?(debug_ops = false)
+    ?degrade ?default_deadline_ms () =
+  Server.default_config ~workers ~queue_capacity ~cache_capacity:16
+    ?default_deadline_ms ?degrade ~debug_ops ()
+
 let with_server cfg f =
   let server = Server.create cfg in
   Fun.protect
@@ -71,6 +76,13 @@ let error_kind json =
   | None -> Alcotest.failf "no error object in %s" (Json.to_string json)
 
 let call server line = Json.parse_exn (Server.call_line server line)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 let req fields = Json.to_string (Json.Obj fields)
 
@@ -110,6 +122,99 @@ let test_json_rejects_garbage () =
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
     [ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "1 2"; "\"unterminated" ]
+
+(* Nesting is refused one level past [Json.max_depth], with a typed
+   error naming the limit; arrays and objects count alike. *)
+let test_json_depth_limit () =
+  let nest depth ~open_ ~close ~leaf =
+    String.concat "" (List.init depth (fun _ -> open_))
+    ^ leaf
+    ^ String.concat "" (List.init depth (fun _ -> close))
+  in
+  let limit = Json.max_depth in
+  List.iter
+    (fun (kind, open_, close) ->
+      let at = nest limit ~open_ ~close ~leaf:"1" in
+      let deeper = nest (limit + 1) ~open_ ~close ~leaf:"1" in
+      (match Json.parse at with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s at the limit refused: %s" kind msg);
+      match Json.parse deeper with
+      | Ok _ -> Alcotest.failf "%s one level past the limit accepted" kind
+      | Error msg ->
+        if not (contains msg (string_of_int limit)) then
+          Alcotest.failf "%s: error does not name the limit: %s" kind msg)
+    [ ("arrays", "[", "]"); ("objects", "{\"k\":", "}") ]
+
+(* A line a million arrays deep is refused at the limit, so it answers
+   a typed parse_error at once instead of stalling the reader. *)
+let test_json_deep_line_answers_parse_error () =
+  with_server (default_cfg ()) (fun server ->
+      let r = call server (String.make 1_000_000 '[') in
+      Alcotest.(check string) "status" "error" (status r);
+      Alcotest.(check string) "kind" "parse_error" (error_kind r);
+      let msg =
+        match Json.member "error" r with
+        | Some err -> get_str "message" err
+        | None -> ""
+      in
+      if not (contains msg (string_of_int Json.max_depth)) then
+        Alcotest.failf "message does not name the limit: %s" msg)
+
+(* Reference escaper, one byte at a time. The printer copies runs of
+   plain bytes whole and must match it byte for byte. *)
+let reference_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Seeded strings over all 256 byte values, built from pieces weighted
+   toward quotes, backslashes, control bytes and long plain runs. *)
+let test_escape_matches_reference () =
+  let rng = Prng.create ~seed:20261018 in
+  let byte bound = Char.chr (Prng.int rng ~bound) in
+  let piece b =
+    match Prng.int rng ~bound:5 with
+    | 0 ->
+      (* a plain run: no byte that needs escaping *)
+      for _ = 1 to Prng.int rng ~bound:300 do
+        let c = Char.chr (0x20 + Prng.int rng ~bound:224) in
+        Buffer.add_char b (if c = '"' || c = '\\' then 'x' else c)
+      done
+    | 1 -> Buffer.add_char b (Prng.pick rng [ '"'; '\\' ])
+    | 2 -> Buffer.add_char b (byte 0x20)
+    | _ -> Buffer.add_char b (byte 256)
+  in
+  let strings =
+    ""
+    :: String.init 256 Char.chr
+    :: List.init 3000 (fun _ ->
+           let b = Buffer.create 256 in
+           for _ = 1 to Prng.int rng ~bound:16 do
+             piece b
+           done;
+           Buffer.contents b)
+  in
+  List.iteri
+    (fun k s ->
+      let got = Json.to_string (Json.Str s) in
+      let want = reference_escape s in
+      if got <> want then
+        Alcotest.failf "string %d %S: printed %S, reference %S" k s got want)
+    strings
 
 (* ---------------- cache keys (satellite: no collisions) ---------------- *)
 
@@ -202,13 +307,6 @@ let test_cache_key_golden () =
       |a=8,b=8,c=8,d=8|" ^ golden_tail)
     (key (work ~expr:golden_sum_expr ()))
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let test_node_topology_cache_key () =
   (* The uniform key is byte-identical to the pre-topology daemon: no
      topology component ever enters it. *)
@@ -261,11 +359,6 @@ let test_cache_counters () =
 
 (* ---------------- serving: plans and the cache front ---------------- *)
 
-let default_cfg ?(workers = 1) ?(queue_capacity = 8) ?(debug_ops = false)
-    ?degrade ?default_deadline_ms () =
-  Server.default_config ~workers ~queue_capacity ~cache_capacity:16
-    ?default_deadline_ms ?degrade ~debug_ops ()
-
 let test_optimize_cold_then_hit () =
   with_server (default_cfg ()) (fun server ->
       let r1 = call server (optimize_req matmul_expr) in
@@ -302,6 +395,72 @@ let test_cache_hit_alpha_renamed_byte_identical () =
       Alcotest.(check string) "renamed hit equals fresh search"
         (Format.asprintf "%a" Plan.pp fresh)
         (get_str "plan" r2))
+
+(* The work memo is keyed on the whole work item. After the server has
+   answered [base], each variant differing from it in one field (two for
+   the machine's link parameters and for the topology's node count) is
+   derived afresh: it gets the reply a fresh server gives the same line,
+   cold. The last variant differs only in the sign of a zero, which
+   structural equality alone takes for the same float. *)
+let test_memo_keys_whole_work () =
+  let base =
+    [
+      ("op", Json.Str "optimize"); ("expr", Json.Str matmul_expr);
+      ("procs", Json.Num 4.0); ("mem_gb", Json.Num 2.0);
+      ("mflops", Json.Num 500.0); ("fusion", Json.Str "all");
+      ("topology", Json.Str "node"); ("nodes", Json.Num 2.0);
+      ("intra_latency_us", Json.Num 0.0);
+    ]
+  in
+  let line ~id fields = req (("id", Json.Num id) :: fields) in
+  let vary changes =
+    List.fold_left
+      (fun fields (name, v) ->
+        let rest = List.remove_assoc name fields in
+        match v with None -> rest | Some v -> rest @ [ (name, v) ])
+      base changes
+  in
+  let variants =
+    [
+      ( "one extent in expr",
+        [
+          ( "expr",
+            Some
+              (Json.Str
+                 "extents a=24, b=16, c=16\nC[a,c] = sum[b] A[a,b] * B[b,c]\n")
+          );
+        ] );
+      ("procs", [ ("procs", Some (Json.Num 8.0)) ]);
+      ("mem_gb", [ ("mem_gb", Some (Json.Num 1.0)) ]);
+      ("mflops", [ ("mflops", Some (Json.Num 1000.0)) ]);
+      ( "latency_us and bandwidth_mbs",
+        [
+          ("latency_us", Some (Json.Num 10.0));
+          ("bandwidth_mbs", Some (Json.Num 100.0));
+        ] );
+      ("fusion", [ ("fusion", Some (Json.Str "none")) ]);
+      ( "topology and nodes",
+        [ ("topology", Some (Json.Str "uniform")); ("nodes", None) ] );
+      ("intra_latency_us", [ ("intra_latency_us", Some (Json.Num 5.0)) ]);
+      ("sign of a zero", [ ("intra_latency_us", Some (Json.Num (-0.0))) ]);
+    ]
+  in
+  with_server (default_cfg ()) (fun server ->
+      Alcotest.(check string) "base ok" "ok"
+        (status (call server (line ~id:0.0 base)));
+      Alcotest.(check bool) "base repeat hits" true
+        (get_bool "cached" (call server (line ~id:0.0 base)));
+      List.iteri
+        (fun k (what, changes) ->
+          let l = line ~id:(float_of_int (k + 1)) (vary changes) in
+          let fresh =
+            with_server (default_cfg ()) (fun fresh -> Server.call_line fresh l)
+          in
+          let got = Server.call_line server l in
+          Alcotest.(check string) (what ^ ": a fresh server's reply") fresh got;
+          Alcotest.(check bool) (what ^ ": cold") false
+            (get_bool "cached" (Json.parse_exn got)))
+        variants)
 
 let test_simulate_and_validate_views () =
   with_server (default_cfg ()) (fun server ->
@@ -879,6 +1038,11 @@ let suite =
       [
         case "print/parse roundtrip" test_json_roundtrip;
         case "malformed input rejected" test_json_rejects_garbage;
+        case "nesting refused one level past the limit" test_json_depth_limit;
+        case "a million-deep line answers parse_error"
+          test_json_deep_line_answers_parse_error;
+        case "escape matches the per-byte reference"
+          test_escape_matches_reference;
       ] );
     ( "serve.cache",
       [
@@ -894,6 +1058,8 @@ let suite =
         case "cold then byte-identical hit" test_optimize_cold_then_hit;
         case "alpha-renamed hit equals fresh search"
           test_cache_hit_alpha_renamed_byte_identical;
+        case "memo answers only the work item it derived"
+          test_memo_keys_whole_work;
         case "simulate and validate views" test_simulate_and_validate_views;
         case "node topology end to end" test_node_topology_requests;
         case "node keys carry the processor count" test_node_key_carries_procs;
