@@ -731,6 +731,18 @@ let kernels () =
            preallocated output block: must be bookkeeping-sized,
            independent of tensor extents (no per-step delta tensor). *)
         let into = Einsum.contract2 ~out a b in
+        (* The bit contract: from the same starting output, the kernel
+           and the walk oracle agree in every bit. *)
+        let bits_equal_walk =
+          let walked = Dense.copy into in
+          Kernel.set_walk_oracle true;
+          Fun.protect
+            ~finally:(fun () -> Kernel.set_walk_oracle false)
+            (fun () -> Einsum.contract2_acc ~into:walked a b);
+          let packed = Dense.copy into in
+          Einsum.contract2_acc ~into:packed a b;
+          Dense.bits_equal packed walked
+        in
         let before = Gc.allocated_bytes () in
         Einsum.contract2_acc ~into a b;
         let acc_alloc = Gc.allocated_bytes () -. before in
@@ -744,7 +756,7 @@ let kernels () =
           (path_name kpath) packed acc_alloc;
         ( name,
           (flops, ref_s, kernel_s),
-          (micro, kpath, packed),
+          (micro, kpath, packed, bits_equal_walk),
           (minor_w, major_w),
           acc_alloc,
           8 * Dense.size into ))
@@ -754,6 +766,7 @@ let kernels () =
   Out_channel.with_open_text path (fun oc ->
       let p fmt = Printf.fprintf oc fmt in
       p "{\n  \"benchmark\": \"kernels\",\n";
+      p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
       let bkc, bmc, bnc = Kernel.blocking () in
       p "  \"blocking\": {\"kc\": %d, \"mc\": %d, \"nc\": %d},\n" bkc bmc bnc;
       p "  \"cases\": [\n";
@@ -761,7 +774,7 @@ let kernels () =
         (fun k
              ( name,
                (flops, ref_s, kernel_s),
-               (micro, kpath, packed),
+               (micro, kpath, packed, bits_equal_walk),
                (minor_w, major_w),
                acc_alloc,
                out_bytes ) ->
@@ -770,13 +783,14 @@ let kernels () =
              \"kernel_seconds\": %.6e, \"ref_gflops\": %.4f, \
              \"kernel_gflops\": %.4f, \"speedup\": %.2f, \
              \"microkernel\": %b, \"path\": %S, \"packed\": %b, \
-             \"gc_minor_words\": %.0f, \
+             \"bits_equal_walk\": %b, \"gc_minor_words\": %.0f, \
              \"gc_major_words\": %.0f, \"acc_alloc_bytes\": %.0f, \
              \"out_bytes\": %d}%s\n"
             name flops ref_s kernel_s
             (float_of_int flops /. ref_s /. 1e9)
             (float_of_int flops /. kernel_s /. 1e9)
-            (ref_s /. kernel_s) micro (path_name kpath) packed minor_w major_w
+            (ref_s /. kernel_s) micro (path_name kpath) packed bits_equal_walk
+            minor_w major_w
             acc_alloc out_bytes
             (if k = List.length rows - 1 then "" else ","))
         rows;
@@ -1371,15 +1385,19 @@ let serve_bench () =
     Condition.signal cond;
     Mutex.unlock lock
   in
-  Server.submit_line server {|{"id":"pin","op":"debug_sleep","ms":400}|}
-    ~reply;
+  ignore
+    (Server.submit_line server {|{"id":"pin","op":"debug_sleep","ms":400}|}
+       ~reply
+      : bool);
   let t0 = Unix.gettimeofday () in
   while Server.queue_depth server > 0 && Unix.gettimeofday () -. t0 < 5.0 do
     Unix.sleepf 0.002
   done;
   let burst = 20 in
   for k = 1 to burst do
-    Server.submit_line server (opt_line ~id:k (matmul_expr 16)) ~reply
+    ignore
+      (Server.submit_line server (opt_line ~id:k (matmul_expr 16)) ~reply
+        : bool)
   done;
   Mutex.lock lock;
   while List.length !got < burst + 1 do

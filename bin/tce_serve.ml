@@ -33,17 +33,10 @@ let serve workers queue_cap cache_cap deadline_ms degrade debug_ops =
        | None -> ()
        | Some line ->
          let trimmed = String.trim line in
-         if trimmed <> "" then begin
-           (* Detect drain here so the loop can stop reading: the engine
-              answers it only after the queue has emptied. *)
-           let is_drain =
-             match Json.parse trimmed with
-             | Ok json -> Json.member "op" json = Some (Json.Str "drain")
-             | Error _ -> false
-           in
-           Server.submit_line server trimmed ~reply:write_line;
-           if is_drain then drained := true
-         end;
+         (* Stop reading once the engine has admitted a drain: it
+            answers one only after the queue has emptied. *)
+         if trimmed <> "" then
+           drained := Server.submit_line server trimmed ~reply:write_line;
          if !drained then () else loop ()
      in
      loop ()

@@ -1275,9 +1275,41 @@ let intra_axis_count topo grid =
 
 let base_config = function Grid cfg -> cfg | Shapes { base; _ } -> base
 
+(* Machine values from the front ends, checked before any constructor
+   sees them: rates, sizes and bandwidths must be positive, latencies
+   non-negative, and all of them finite (a wire "1e999" reads as
+   infinity). The error names the first bad field. *)
+let check_machine_fields fields =
+  let bad =
+    List.find_map
+      (fun (name, v, positive) ->
+        match v with
+        | Some v when not (Float.is_finite v) ->
+          Some (Printf.sprintf "%s must be finite, got %g" name v)
+        | Some v when positive && v <= 0. ->
+          Some (Printf.sprintf "%s must be positive, got %g" name v)
+        | Some v when v < 0. ->
+          Some (Printf.sprintf "%s must not be negative, got %g" name v)
+        | _ -> None)
+      fields
+  in
+  Option.fold ~none:(Ok ()) ~some:Result.error bad
+
 let machine ?fusion_mode ?mem_gb ?mflops ?latency_us ?bandwidth_mbs ?nodes
     ?(intra_latency_us = 1.0) ?(intra_bandwidth_mbs = 1000.0) ~topology ~procs
     () =
+  let ( let* ) = Result.bind in
+  let* () =
+    check_machine_fields
+      [
+        ("mflops", mflops, true);
+        ("mem_gb", mem_gb, true);
+        ("bandwidth_mbs", bandwidth_mbs, true);
+        ("intra_bandwidth_mbs", Some intra_bandwidth_mbs, true);
+        ("latency_us", latency_us, false);
+        ("intra_latency_us", Some intra_latency_us, false);
+      ]
+  in
   let scaled k default = Option.fold ~none:default ~some:(fun v -> v *. k) in
   let params =
     match (latency_us, bandwidth_mbs) with

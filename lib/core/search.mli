@@ -271,7 +271,10 @@ val machine :
     node-aware topology with [procs / nodes] ranks per node (default:
     the machine's own procs-per-node; [nodes] must divide [procs]) and
     the given intra-node link (defaults 1 µs, 1000 MB/s). [mem_gb] also
-    becomes every config's [mem_limit_bytes]. *)
+    becomes every config's [mem_limit_bytes]. A non-finite value, a
+    [mflops], [mem_gb], [bandwidth_mbs] or [intra_bandwidth_mbs] ≤ 0, or
+    a negative [latency_us] or [intra_latency_us] is an [Error] naming
+    the field. *)
 
 val base_config : shape -> config
 (** The config carrying the shape's machine and search settings: a

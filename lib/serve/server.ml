@@ -761,9 +761,14 @@ let submit_line t line ~reply =
   let reply_json json = reply (Proto.to_line json) in
   match Proto.parse_request line with
   | Error (`Parse msg) ->
-    reply_json (Proto.error ~id:Json.Null ~kind:"parse_error" ~message:msg [])
-  | Error (`Invalid (id, msg)) -> reply_json (invalid ~id msg)
-  | Ok req -> submit t req ~reply:reply_json
+    reply_json (Proto.error ~id:Json.Null ~kind:"parse_error" ~message:msg []);
+    false
+  | Error (`Invalid (id, msg)) ->
+    reply_json (invalid ~id msg);
+    false
+  | Ok req ->
+    submit t req ~reply:reply_json;
+    req.Proto.op = Proto.Drain
 
 let call t (req : Proto.request) =
   let lock = Mutex.create () in
@@ -785,11 +790,13 @@ let call_line t line =
   let lock = Mutex.create () in
   let cond = Condition.create () in
   let slot = ref None in
-  submit_line t line ~reply:(fun s ->
-      Mutex.lock lock;
-      slot := Some s;
-      Condition.signal cond;
-      Mutex.unlock lock);
+  ignore
+    (submit_line t line ~reply:(fun s ->
+         Mutex.lock lock;
+         slot := Some s;
+         Condition.signal cond;
+         Mutex.unlock lock)
+      : bool);
   Mutex.lock lock;
   while !slot = None do
     Condition.wait cond lock

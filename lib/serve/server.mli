@@ -76,10 +76,13 @@ val submit : t -> Proto.request -> reply:(Json.t -> unit) -> unit
     immediately with a typed [overloaded] / [draining] response. [reply]
     must be thread-safe; exceptions it raises are swallowed. *)
 
-val submit_line : t -> string -> reply:(string -> unit) -> unit
+val submit_line : t -> string -> reply:(string -> unit) -> bool
 (** {!submit} for one raw JSON line; malformed input gets a typed
     [parse_error] / [invalid_request] response. The reply string is a
-    single line without the trailing newline. *)
+    single line without the trailing newline. Returns [true] iff the
+    line was an admitted [drain] — the server has then drained and
+    answered it — so a stdio front end knows to stop reading; a line
+    that names [drain] but fails to parse returns [false]. *)
 
 val call : t -> Proto.request -> Json.t
 (** Synchronous {!submit}: blocks the calling thread until the response

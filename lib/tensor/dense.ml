@@ -167,8 +167,11 @@ let map2 a b ~f =
 
 let frobenius t =
   let data = t.data in
-  (* Accumulate in a float-array cell: unboxed stores, unlike a [ref]
-     which would box the float on every assignment (no flambda). *)
+  (* Accumulate in a float-array cell (unboxed stores). A local float
+     [ref] would not box either: ocamlopt keeps a non-escaping ref
+     unboxed even without flambda, and a 1 M-iteration float-ref sum of
+     squares allocated no minor words on OCaml 5.1.1, with or without
+     -g. *)
   let acc = Array.make 1 0.0 in
   for i = 0 to A1.dim data - 1 do
     let x = A1.unsafe_get data i in

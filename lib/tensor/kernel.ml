@@ -15,8 +15,8 @@ let fail fmt = Tce_error.failf fmt
 
 (* Cache-blocking parameters: KC bounds the summation strip so the A/B
    panels stay cache-resident across the register-tile sweep; MC/NC bound
-   the C panel touched per block. Register tile is MR=2 x NR=4, with the
-   K loop unrolled by 4. *)
+   the C panel touched per block. The register tile and the micro-panel
+   format belong to gemm_stubs.c. *)
 let kc = 256
 let mc = 64
 let nc = 512
@@ -142,10 +142,10 @@ let walk ~out_dims ~sum_dims (da : Dense.buf) (db : Dense.buf)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
-  mutable ap : float array; (* packed A panel *)
-  mutable bp : float array; (* packed B panel *)
-  mutable cp : float array; (* packed C panel *)
-  acc : float array; (* 2x4 register-tile spill cells *)
+  mutable ap : Dense.buf; (* packed A micro-panels *)
+  mutable bp : Dense.buf; (* packed B micro-panels; Hadamard's B panel *)
+  mutable cp : Dense.buf; (* gathered C block *)
+  acc : float array; (* Hadamard/Dot register-tile spill cells *)
   mutable ma : int array; (* M-group offsets into A *)
   mutable mcf : int array; (* M-group offsets into C *)
   mutable nb : int array; (* N-group offsets into B *)
@@ -154,12 +154,14 @@ type scratch = {
   mutable kb : int array; (* K-group offsets into B *)
 }
 
+let panel n : Dense.buf = A1.create Bigarray.Float64 Bigarray.C_layout n
+
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        ap = [||];
-        bp = [||];
-        cp = [||];
+        ap = panel 0;
+        bp = panel 0;
+        cp = panel 0;
         acc = Array.make 8 0.0;
         ma = [||];
         mcf = [||];
@@ -169,7 +171,7 @@ let scratch_key =
         kb = [||];
       })
 
-let grow_f arr n = if Array.length arr >= n then arr else Array.make n 0.0
+let grow_b (buf : Dense.buf) n = if A1.dim buf >= n then buf else panel n
 let grow_i arr n = if Array.length arr >= n then arr else Array.make n 0
 
 (* Fill [tbl.(0 .. prod ext - 1)] with the row-major flat-offset table of
@@ -195,252 +197,48 @@ let fill_offsets tbl dims which =
 let prod dims = Array.fold_left (fun acc d -> acc * d.ext) 1 dims
 
 (* ------------------------------------------------------------------ *)
-(* Register-tiled microkernel on flat float arrays                     *)
-(* ------------------------------------------------------------------ *)
-
-(* [micro] multiplies an [mw x kw] panel of [ap] (row stride [lda], unit
-   K stride) by a [kw x nw] panel of [bp] (row stride [ldb], unit N
-   stride) into [cp] (row stride [ldc], unit N stride), accumulating on
-   top of what is already there. 2x4 register tile; the K loop is
-   unrolled by 4 with left-associated chained adds, so each C cell sees
-   the same addition sequence as a plain ascending-K loop — bit-identical
-   to the stride walk — while touching each accumulator cell once per 4
-   MACs instead of once per MAC. Accumulators live in the 8 reusable
-   [acc] spill cells (unboxed float-array stores; no allocation). *)
-let micro ap bp cp ~oa ~ob ~oc ~mw ~nw ~kw ~lda ~ldb ~ldc ~acc =
-  (* NR-column groups outer, M-row pairs inner: the [kw x 4] B
-     micro-panel stays L1-resident across the whole M sweep while the
-     larger A panel streams from L2 — the cheap direction, since the A
-     panel is read once per column group instead of the B panel once per
-     row pair. *)
-  let j = ref 0 in
-  while !j + 3 < nw do
-    let i = ref 0 in
-    while !i + 1 < mw do
-      let ra0 = oa + (!i * lda) in
-      let ra1 = ra0 + lda in
-      let p0 = oc + (!i * ldc) + !j and p1 = oc + (!i * ldc) + ldc + !j in
-      Array.unsafe_set acc 0 (Array.unsafe_get cp p0);
-      Array.unsafe_set acc 1 (Array.unsafe_get cp (p0 + 1));
-      Array.unsafe_set acc 2 (Array.unsafe_get cp (p0 + 2));
-      Array.unsafe_set acc 3 (Array.unsafe_get cp (p0 + 3));
-      Array.unsafe_set acc 4 (Array.unsafe_get cp p1);
-      Array.unsafe_set acc 5 (Array.unsafe_get cp (p1 + 1));
-      Array.unsafe_set acc 6 (Array.unsafe_get cp (p1 + 2));
-      Array.unsafe_set acc 7 (Array.unsafe_get cp (p1 + 3));
-      let kk = ref 0 in
-      while !kk + 3 < kw do
-        let a00 = Array.unsafe_get ap (ra0 + !kk)
-        and a01 = Array.unsafe_get ap (ra0 + !kk + 1)
-        and a02 = Array.unsafe_get ap (ra0 + !kk + 2)
-        and a03 = Array.unsafe_get ap (ra0 + !kk + 3)
-        and a10 = Array.unsafe_get ap (ra1 + !kk)
-        and a11 = Array.unsafe_get ap (ra1 + !kk + 1)
-        and a12 = Array.unsafe_get ap (ra1 + !kk + 2)
-        and a13 = Array.unsafe_get ap (ra1 + !kk + 3) in
-        let rb0 = ob + (!kk * ldb) + !j in
-        let rb1 = rb0 + ldb
-        and rb2 = rb0 + (2 * ldb)
-        and rb3 = rb0 + (3 * ldb) in
-        let b00 = Array.unsafe_get bp rb0
-        and b10 = Array.unsafe_get bp rb1
-        and b20 = Array.unsafe_get bp rb2
-        and b30 = Array.unsafe_get bp rb3 in
-        Array.unsafe_set acc 0
-          ((((Array.unsafe_get acc 0 +. (a00 *. b00)) +. (a01 *. b10))
-           +. (a02 *. b20))
-          +. (a03 *. b30));
-        Array.unsafe_set acc 4
-          ((((Array.unsafe_get acc 4 +. (a10 *. b00)) +. (a11 *. b10))
-           +. (a12 *. b20))
-          +. (a13 *. b30));
-        let b01 = Array.unsafe_get bp (rb0 + 1)
-        and b11 = Array.unsafe_get bp (rb1 + 1)
-        and b21 = Array.unsafe_get bp (rb2 + 1)
-        and b31 = Array.unsafe_get bp (rb3 + 1) in
-        Array.unsafe_set acc 1
-          ((((Array.unsafe_get acc 1 +. (a00 *. b01)) +. (a01 *. b11))
-           +. (a02 *. b21))
-          +. (a03 *. b31));
-        Array.unsafe_set acc 5
-          ((((Array.unsafe_get acc 5 +. (a10 *. b01)) +. (a11 *. b11))
-           +. (a12 *. b21))
-          +. (a13 *. b31));
-        let b02 = Array.unsafe_get bp (rb0 + 2)
-        and b12 = Array.unsafe_get bp (rb1 + 2)
-        and b22 = Array.unsafe_get bp (rb2 + 2)
-        and b32 = Array.unsafe_get bp (rb3 + 2) in
-        Array.unsafe_set acc 2
-          ((((Array.unsafe_get acc 2 +. (a00 *. b02)) +. (a01 *. b12))
-           +. (a02 *. b22))
-          +. (a03 *. b32));
-        Array.unsafe_set acc 6
-          ((((Array.unsafe_get acc 6 +. (a10 *. b02)) +. (a11 *. b12))
-           +. (a12 *. b22))
-          +. (a13 *. b32));
-        let b03 = Array.unsafe_get bp (rb0 + 3)
-        and b13 = Array.unsafe_get bp (rb1 + 3)
-        and b23 = Array.unsafe_get bp (rb2 + 3)
-        and b33 = Array.unsafe_get bp (rb3 + 3) in
-        Array.unsafe_set acc 3
-          ((((Array.unsafe_get acc 3 +. (a00 *. b03)) +. (a01 *. b13))
-           +. (a02 *. b23))
-          +. (a03 *. b33));
-        Array.unsafe_set acc 7
-          ((((Array.unsafe_get acc 7 +. (a10 *. b03)) +. (a11 *. b13))
-           +. (a12 *. b23))
-          +. (a13 *. b33));
-        kk := !kk + 4
-      done;
-      while !kk < kw do
-        let a0 = Array.unsafe_get ap (ra0 + !kk)
-        and a1 = Array.unsafe_get ap (ra1 + !kk) in
-        let rb = ob + (!kk * ldb) + !j in
-        let b0 = Array.unsafe_get bp rb
-        and b1 = Array.unsafe_get bp (rb + 1)
-        and b2 = Array.unsafe_get bp (rb + 2)
-        and b3 = Array.unsafe_get bp (rb + 3) in
-        Array.unsafe_set acc 0 (Array.unsafe_get acc 0 +. (a0 *. b0));
-        Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. (a0 *. b1));
-        Array.unsafe_set acc 2 (Array.unsafe_get acc 2 +. (a0 *. b2));
-        Array.unsafe_set acc 3 (Array.unsafe_get acc 3 +. (a0 *. b3));
-        Array.unsafe_set acc 4 (Array.unsafe_get acc 4 +. (a1 *. b0));
-        Array.unsafe_set acc 5 (Array.unsafe_get acc 5 +. (a1 *. b1));
-        Array.unsafe_set acc 6 (Array.unsafe_get acc 6 +. (a1 *. b2));
-        Array.unsafe_set acc 7 (Array.unsafe_get acc 7 +. (a1 *. b3));
-        incr kk
-      done;
-      Array.unsafe_set cp p0 (Array.unsafe_get acc 0);
-      Array.unsafe_set cp (p0 + 1) (Array.unsafe_get acc 1);
-      Array.unsafe_set cp (p0 + 2) (Array.unsafe_get acc 2);
-      Array.unsafe_set cp (p0 + 3) (Array.unsafe_get acc 3);
-      Array.unsafe_set cp p1 (Array.unsafe_get acc 4);
-      Array.unsafe_set cp (p1 + 1) (Array.unsafe_get acc 5);
-      Array.unsafe_set cp (p1 + 2) (Array.unsafe_get acc 6);
-      Array.unsafe_set cp (p1 + 3) (Array.unsafe_get acc 7);
-      i := !i + 2
-    done;
-    if !i < mw then begin
-      (* Odd trailing row: 1x4 tile, same ascending-K chains. *)
-      let ra0 = oa + (!i * lda) in
-      let p0 = oc + (!i * ldc) + !j in
-      Array.unsafe_set acc 0 (Array.unsafe_get cp p0);
-      Array.unsafe_set acc 1 (Array.unsafe_get cp (p0 + 1));
-      Array.unsafe_set acc 2 (Array.unsafe_get cp (p0 + 2));
-      Array.unsafe_set acc 3 (Array.unsafe_get cp (p0 + 3));
-      let kk = ref 0 in
-      while !kk + 3 < kw do
-        let a00 = Array.unsafe_get ap (ra0 + !kk)
-        and a01 = Array.unsafe_get ap (ra0 + !kk + 1)
-        and a02 = Array.unsafe_get ap (ra0 + !kk + 2)
-        and a03 = Array.unsafe_get ap (ra0 + !kk + 3) in
-        let rb0 = ob + (!kk * ldb) + !j in
-        let rb1 = rb0 + ldb
-        and rb2 = rb0 + (2 * ldb)
-        and rb3 = rb0 + (3 * ldb) in
-        Array.unsafe_set acc 0
-          ((((Array.unsafe_get acc 0
-             +. (a00 *. Array.unsafe_get bp rb0))
-            +. (a01 *. Array.unsafe_get bp rb1))
-           +. (a02 *. Array.unsafe_get bp rb2))
-          +. (a03 *. Array.unsafe_get bp rb3));
-        Array.unsafe_set acc 1
-          ((((Array.unsafe_get acc 1
-             +. (a00 *. Array.unsafe_get bp (rb0 + 1)))
-            +. (a01 *. Array.unsafe_get bp (rb1 + 1)))
-           +. (a02 *. Array.unsafe_get bp (rb2 + 1)))
-          +. (a03 *. Array.unsafe_get bp (rb3 + 1)));
-        Array.unsafe_set acc 2
-          ((((Array.unsafe_get acc 2
-             +. (a00 *. Array.unsafe_get bp (rb0 + 2)))
-            +. (a01 *. Array.unsafe_get bp (rb1 + 2)))
-           +. (a02 *. Array.unsafe_get bp (rb2 + 2)))
-          +. (a03 *. Array.unsafe_get bp (rb3 + 2)));
-        Array.unsafe_set acc 3
-          ((((Array.unsafe_get acc 3
-             +. (a00 *. Array.unsafe_get bp (rb0 + 3)))
-            +. (a01 *. Array.unsafe_get bp (rb1 + 3)))
-           +. (a02 *. Array.unsafe_get bp (rb2 + 3)))
-          +. (a03 *. Array.unsafe_get bp (rb3 + 3)));
-        kk := !kk + 4
-      done;
-      while !kk < kw do
-        let a0 = Array.unsafe_get ap (ra0 + !kk) in
-        let rb = ob + (!kk * ldb) + !j in
-        Array.unsafe_set acc 0
-          (Array.unsafe_get acc 0 +. (a0 *. Array.unsafe_get bp rb));
-        Array.unsafe_set acc 1
-          (Array.unsafe_get acc 1 +. (a0 *. Array.unsafe_get bp (rb + 1)));
-        Array.unsafe_set acc 2
-          (Array.unsafe_get acc 2 +. (a0 *. Array.unsafe_get bp (rb + 2)));
-        Array.unsafe_set acc 3
-          (Array.unsafe_get acc 3 +. (a0 *. Array.unsafe_get bp (rb + 3)));
-        incr kk
-      done;
-      Array.unsafe_set cp p0 (Array.unsafe_get acc 0);
-      Array.unsafe_set cp (p0 + 1) (Array.unsafe_get acc 1);
-      Array.unsafe_set cp (p0 + 2) (Array.unsafe_get acc 2);
-      Array.unsafe_set cp (p0 + 3) (Array.unsafe_get acc 3)
-    end;
-    j := !j + 4
-  done;
-  (* Trailing columns (nw mod 4): 2x1 pairs then a lone cell. *)
-  while !j < nw do
-    let i = ref 0 in
-    while !i + 1 < mw do
-      let ra0 = oa + (!i * lda) in
-      let ra1 = ra0 + lda in
-      let p0 = oc + (!i * ldc) + !j and p1 = oc + (!i * ldc) + ldc + !j in
-      Array.unsafe_set acc 0 (Array.unsafe_get cp p0);
-      Array.unsafe_set acc 1 (Array.unsafe_get cp p1);
-      for kk = 0 to kw - 1 do
-        let bv = Array.unsafe_get bp (ob + (kk * ldb) + !j) in
-        Array.unsafe_set acc 0
-          (Array.unsafe_get acc 0 +. (Array.unsafe_get ap (ra0 + kk) *. bv));
-        Array.unsafe_set acc 1
-          (Array.unsafe_get acc 1 +. (Array.unsafe_get ap (ra1 + kk) *. bv))
-      done;
-      Array.unsafe_set cp p0 (Array.unsafe_get acc 0);
-      Array.unsafe_set cp p1 (Array.unsafe_get acc 1);
-      i := !i + 2
-    done;
-    if !i < mw then begin
-      let ra0 = oa + (!i * lda) in
-      let p0 = oc + (!i * ldc) + !j in
-      Array.unsafe_set acc 0 (Array.unsafe_get cp p0);
-      for kk = 0 to kw - 1 do
-        Array.unsafe_set acc 0
-          (Array.unsafe_get acc 0
-          +. (Array.unsafe_get ap (ra0 + kk)
-             *. Array.unsafe_get bp (ob + (kk * ldb) + !j)))
-      done;
-      Array.unsafe_set cp p0 (Array.unsafe_get acc 0)
-    end;
-    incr j
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Flavor drivers                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* One (MC, NC, KC) block of the GEMM flavor, in gemm_stubs.c: packs
+   rows [ic, ic + mw) of A through [ma] and columns [jc, jc + nw) of B
+   through [nb], both over summation steps [pc, pc + kw) through
+   [ka]/[kb], into the [ap]/[bp] micro-panels, then accumulates their
+   product into the gathered C block [cp] (row stride [nw]). *)
+external gemm_block :
+  Dense.buf ->
+  Dense.buf ->
+  Dense.buf ->
+  Dense.buf ->
+  Dense.buf ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "tce_gemm_block_byte" "tce_gemm_block"
+[@@noalloc]
 
 (* GEMM flavor: pack-and-tile over (M, N, K) index groups, with any
    batch (Hadamard) dimensions walked outside. For each (MC, NC) block
    of C: gather the block into the contiguous [cp] panel (so later
    K strips keep accumulating on the caller's initial values, exactly
-   like the walk), then per KC strip copy-pack the A and B panels into
-   canonical layout and run the microkernel; finally scatter the packed
-   block back. Offset tables linearize the multi-dimensional groups so
-   arbitrary strides — including the noncoalescible layouts that used to
-   fall back to the stride walk — all run the same register tile. *)
+   like the walk), then per KC strip make one [gemm_block] call, which
+   packs the A and B micro-panels and runs the register tile; finally
+   scatter the packed block back. Offset tables linearize the
+   multi-dimensional groups so arbitrary strides — including the
+   noncoalescible layouts that used to fall back to the stride walk —
+   all run the same register tile. *)
 let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
     ~abase ~bbase ~cbase ~msz ~nsz ~ksz =
-  let ma = st.ma
-  and mcf = st.mcf
-  and nb = st.nb
-  and ncf = st.ncf
-  and ka = st.ka
-  and kb = st.kb in
-  let ap = st.ap and bp = st.bp and cp = st.cp and acc = st.acc in
+  let mcf = st.mcf and ncf = st.ncf and cp = st.cp in
   let ic = ref 0 in
   while !ic < msz do
     let mw = min mc (msz - !ic) in
@@ -452,33 +250,15 @@ let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
         let co = cbase + Array.unsafe_get mcf (!ic + ii) in
         let r = ii * nw in
         for jj = 0 to nw - 1 do
-          Array.unsafe_set cp (r + jj)
+          A1.unsafe_set cp (r + jj)
             (A1.unsafe_get cbuf (co + Array.unsafe_get ncf (!jc + jj)))
         done
       done;
       let pc = ref 0 in
       while !pc < ksz do
         let kw = min kc (ksz - !pc) in
-        (* Pack the A panel: mw x kw, unit K stride. *)
-        for ii = 0 to mw - 1 do
-          let ao = abase + Array.unsafe_get ma (!ic + ii) in
-          let r = ii * kw in
-          for t = 0 to kw - 1 do
-            Array.unsafe_set ap (r + t)
-              (A1.unsafe_get abuf (ao + Array.unsafe_get ka (!pc + t)))
-          done
-        done;
-        (* Pack the B panel: kw x nw, unit N stride. *)
-        for t = 0 to kw - 1 do
-          let bo = bbase + Array.unsafe_get kb (!pc + t) in
-          let r = t * nw in
-          for jj = 0 to nw - 1 do
-            Array.unsafe_set bp (r + jj)
-              (A1.unsafe_get bbuf (bo + Array.unsafe_get nb (!jc + jj)))
-          done
-        done;
-        micro ap bp cp ~oa:0 ~ob:0 ~oc:0 ~mw ~nw ~kw ~lda:kw ~ldb:nw ~ldc:nw
-          ~acc;
+        gemm_block abuf bbuf st.ap st.bp cp st.ma st.ka st.nb st.kb abase bbase
+          !ic !jc !pc mw nw kw;
         pc := !pc + kw
       done;
       (* Scatter the C block back. *)
@@ -488,7 +268,7 @@ let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
         for jj = 0 to nw - 1 do
           A1.unsafe_set cbuf
             (co + Array.unsafe_get ncf (!jc + jj))
-            (Array.unsafe_get cp (r + jj))
+            (A1.unsafe_get cp (r + jj))
         done
       done;
       jc := !jc + nw
@@ -538,7 +318,7 @@ let hadamard_driver st (abuf : Dense.buf) (bbuf : Dense.buf)
             Array.unsafe_set acc (ci + x)
               (Array.unsafe_get acc (ci + x)
               +. (A1.unsafe_get abuf (ao + (x * saj))
-                 *. Array.unsafe_get bp (r + x)))
+                 *. A1.unsafe_get bp (r + x)))
           done
         done;
         for x = 0 to cn - 1 do
@@ -571,10 +351,10 @@ let hadamard_driver st (abuf : Dense.buf) (bbuf : Dense.buf)
           let r1 = r0 + jw and r2 = r0 + (2 * jw) and r3 = r0 + (3 * jw) in
           for x = 0 to 3 do
             let s = x * saj in
-            let b0 = Array.unsafe_get bp (r0 + x)
-            and b1 = Array.unsafe_get bp (r1 + x)
-            and b2 = Array.unsafe_get bp (r2 + x)
-            and b3 = Array.unsafe_get bp (r3 + x) in
+            let b0 = A1.unsafe_get bp (r0 + x)
+            and b1 = A1.unsafe_get bp (r1 + x)
+            and b2 = A1.unsafe_get bp (r2 + x)
+            and b3 = A1.unsafe_get bp (r3 + x) in
             Array.unsafe_set acc x
               ((((Array.unsafe_get acc x
                  +. (A1.unsafe_get abuf (p0 + k0 + s) *. b0))
@@ -596,7 +376,7 @@ let hadamard_driver st (abuf : Dense.buf) (bbuf : Dense.buf)
           let pk = p0 + k0 and qk = q0 + k0 in
           for x = 0 to 3 do
             let s = x * saj in
-            let b = Array.unsafe_get bp (r0 + x) in
+            let b = A1.unsafe_get bp (r0 + x) in
             Array.unsafe_set acc x
               (Array.unsafe_get acc x +. (A1.unsafe_get abuf (pk + s) *. b));
             Array.unsafe_set acc (4 + x)
@@ -642,71 +422,71 @@ let hadamard_driver st (abuf : Dense.buf) (bbuf : Dense.buf)
           let r0 = (!t * jw) + jj in
           let r1 = r0 + jw and r2 = r0 + (2 * jw) and r3 = r0 + (3 * jw) in
           Array.unsafe_set acc 0 @@
-            (((Array.unsafe_get acc 0 +. (A1.unsafe_get abuf pk0 *. Array.unsafe_get bp r0))
-             +. (A1.unsafe_get abuf pk1 *. Array.unsafe_get bp r1))
-            +. (A1.unsafe_get abuf pk2 *. Array.unsafe_get bp r2))
-            +. (A1.unsafe_get abuf pk3 *. Array.unsafe_get bp r3);
+            (((Array.unsafe_get acc 0 +. (A1.unsafe_get abuf pk0 *. A1.unsafe_get bp r0))
+             +. (A1.unsafe_get abuf pk1 *. A1.unsafe_get bp r1))
+            +. (A1.unsafe_get abuf pk2 *. A1.unsafe_get bp r2))
+            +. (A1.unsafe_get abuf pk3 *. A1.unsafe_get bp r3);
           Array.unsafe_set acc 1 @@
-            (((Array.unsafe_get acc 1 +. (A1.unsafe_get abuf (pk0 + 1) *. Array.unsafe_get bp (r0 + 1)))
-             +. (A1.unsafe_get abuf (pk1 + 1) *. Array.unsafe_get bp (r1 + 1)))
-            +. (A1.unsafe_get abuf (pk2 + 1) *. Array.unsafe_get bp (r2 + 1)))
-            +. (A1.unsafe_get abuf (pk3 + 1) *. Array.unsafe_get bp (r3 + 1));
+            (((Array.unsafe_get acc 1 +. (A1.unsafe_get abuf (pk0 + 1) *. A1.unsafe_get bp (r0 + 1)))
+             +. (A1.unsafe_get abuf (pk1 + 1) *. A1.unsafe_get bp (r1 + 1)))
+            +. (A1.unsafe_get abuf (pk2 + 1) *. A1.unsafe_get bp (r2 + 1)))
+            +. (A1.unsafe_get abuf (pk3 + 1) *. A1.unsafe_get bp (r3 + 1));
           Array.unsafe_set acc 2 @@
-            (((Array.unsafe_get acc 2 +. (A1.unsafe_get abuf (pk0 + 2) *. Array.unsafe_get bp (r0 + 2)))
-             +. (A1.unsafe_get abuf (pk1 + 2) *. Array.unsafe_get bp (r1 + 2)))
-            +. (A1.unsafe_get abuf (pk2 + 2) *. Array.unsafe_get bp (r2 + 2)))
-            +. (A1.unsafe_get abuf (pk3 + 2) *. Array.unsafe_get bp (r3 + 2));
+            (((Array.unsafe_get acc 2 +. (A1.unsafe_get abuf (pk0 + 2) *. A1.unsafe_get bp (r0 + 2)))
+             +. (A1.unsafe_get abuf (pk1 + 2) *. A1.unsafe_get bp (r1 + 2)))
+            +. (A1.unsafe_get abuf (pk2 + 2) *. A1.unsafe_get bp (r2 + 2)))
+            +. (A1.unsafe_get abuf (pk3 + 2) *. A1.unsafe_get bp (r3 + 2));
           Array.unsafe_set acc 3 @@
-            (((Array.unsafe_get acc 3 +. (A1.unsafe_get abuf (pk0 + 3) *. Array.unsafe_get bp (r0 + 3)))
-             +. (A1.unsafe_get abuf (pk1 + 3) *. Array.unsafe_get bp (r1 + 3)))
-            +. (A1.unsafe_get abuf (pk2 + 3) *. Array.unsafe_get bp (r2 + 3)))
-            +. (A1.unsafe_get abuf (pk3 + 3) *. Array.unsafe_get bp (r3 + 3));
+            (((Array.unsafe_get acc 3 +. (A1.unsafe_get abuf (pk0 + 3) *. A1.unsafe_get bp (r0 + 3)))
+             +. (A1.unsafe_get abuf (pk1 + 3) *. A1.unsafe_get bp (r1 + 3)))
+            +. (A1.unsafe_get abuf (pk2 + 3) *. A1.unsafe_get bp (r2 + 3)))
+            +. (A1.unsafe_get abuf (pk3 + 3) *. A1.unsafe_get bp (r3 + 3));
           Array.unsafe_set acc 4 @@
-            (((Array.unsafe_get acc 4 +. (A1.unsafe_get abuf qk0 *. Array.unsafe_get bp r0))
-             +. (A1.unsafe_get abuf qk1 *. Array.unsafe_get bp r1))
-            +. (A1.unsafe_get abuf qk2 *. Array.unsafe_get bp r2))
-            +. (A1.unsafe_get abuf qk3 *. Array.unsafe_get bp r3);
+            (((Array.unsafe_get acc 4 +. (A1.unsafe_get abuf qk0 *. A1.unsafe_get bp r0))
+             +. (A1.unsafe_get abuf qk1 *. A1.unsafe_get bp r1))
+            +. (A1.unsafe_get abuf qk2 *. A1.unsafe_get bp r2))
+            +. (A1.unsafe_get abuf qk3 *. A1.unsafe_get bp r3);
           Array.unsafe_set acc 5 @@
-            (((Array.unsafe_get acc 5 +. (A1.unsafe_get abuf (qk0 + 1) *. Array.unsafe_get bp (r0 + 1)))
-             +. (A1.unsafe_get abuf (qk1 + 1) *. Array.unsafe_get bp (r1 + 1)))
-            +. (A1.unsafe_get abuf (qk2 + 1) *. Array.unsafe_get bp (r2 + 1)))
-            +. (A1.unsafe_get abuf (qk3 + 1) *. Array.unsafe_get bp (r3 + 1));
+            (((Array.unsafe_get acc 5 +. (A1.unsafe_get abuf (qk0 + 1) *. A1.unsafe_get bp (r0 + 1)))
+             +. (A1.unsafe_get abuf (qk1 + 1) *. A1.unsafe_get bp (r1 + 1)))
+            +. (A1.unsafe_get abuf (qk2 + 1) *. A1.unsafe_get bp (r2 + 1)))
+            +. (A1.unsafe_get abuf (qk3 + 1) *. A1.unsafe_get bp (r3 + 1));
           Array.unsafe_set acc 6 @@
-            (((Array.unsafe_get acc 6 +. (A1.unsafe_get abuf (qk0 + 2) *. Array.unsafe_get bp (r0 + 2)))
-             +. (A1.unsafe_get abuf (qk1 + 2) *. Array.unsafe_get bp (r1 + 2)))
-            +. (A1.unsafe_get abuf (qk2 + 2) *. Array.unsafe_get bp (r2 + 2)))
-            +. (A1.unsafe_get abuf (qk3 + 2) *. Array.unsafe_get bp (r3 + 2));
+            (((Array.unsafe_get acc 6 +. (A1.unsafe_get abuf (qk0 + 2) *. A1.unsafe_get bp (r0 + 2)))
+             +. (A1.unsafe_get abuf (qk1 + 2) *. A1.unsafe_get bp (r1 + 2)))
+            +. (A1.unsafe_get abuf (qk2 + 2) *. A1.unsafe_get bp (r2 + 2)))
+            +. (A1.unsafe_get abuf (qk3 + 2) *. A1.unsafe_get bp (r3 + 2));
           Array.unsafe_set acc 7 @@
-            (((Array.unsafe_get acc 7 +. (A1.unsafe_get abuf (qk0 + 3) *. Array.unsafe_get bp (r0 + 3)))
-             +. (A1.unsafe_get abuf (qk1 + 3) *. Array.unsafe_get bp (r1 + 3)))
-            +. (A1.unsafe_get abuf (qk2 + 3) *. Array.unsafe_get bp (r2 + 3)))
-            +. (A1.unsafe_get abuf (qk3 + 3) *. Array.unsafe_get bp (r3 + 3));
+            (((Array.unsafe_get acc 7 +. (A1.unsafe_get abuf (qk0 + 3) *. A1.unsafe_get bp (r0 + 3)))
+             +. (A1.unsafe_get abuf (qk1 + 3) *. A1.unsafe_get bp (r1 + 3)))
+            +. (A1.unsafe_get abuf (qk2 + 3) *. A1.unsafe_get bp (r2 + 3)))
+            +. (A1.unsafe_get abuf (qk3 + 3) *. A1.unsafe_get bp (r3 + 3));
           t := !t + 4
         done;
         while !t < kw do
           let pk = p0 + Array.unsafe_get ka (!pc + !t) in
           let qk = pk + dq in
           let r0 = (!t * jw) + jj in
-          Array.unsafe_set acc 0 @@ Array.unsafe_get acc 0 +. (A1.unsafe_get abuf pk *. Array.unsafe_get bp r0);
+          Array.unsafe_set acc 0 @@ Array.unsafe_get acc 0 +. (A1.unsafe_get abuf pk *. A1.unsafe_get bp r0);
           Array.unsafe_set acc 1 @@
             Array.unsafe_get acc 1
-            +. (A1.unsafe_get abuf (pk + 1) *. Array.unsafe_get bp (r0 + 1));
+            +. (A1.unsafe_get abuf (pk + 1) *. A1.unsafe_get bp (r0 + 1));
           Array.unsafe_set acc 2 @@
             Array.unsafe_get acc 2
-            +. (A1.unsafe_get abuf (pk + 2) *. Array.unsafe_get bp (r0 + 2));
+            +. (A1.unsafe_get abuf (pk + 2) *. A1.unsafe_get bp (r0 + 2));
           Array.unsafe_set acc 3 @@
             Array.unsafe_get acc 3
-            +. (A1.unsafe_get abuf (pk + 3) *. Array.unsafe_get bp (r0 + 3));
-          Array.unsafe_set acc 4 @@ Array.unsafe_get acc 4 +. (A1.unsafe_get abuf qk *. Array.unsafe_get bp r0);
+            +. (A1.unsafe_get abuf (pk + 3) *. A1.unsafe_get bp (r0 + 3));
+          Array.unsafe_set acc 4 @@ Array.unsafe_get acc 4 +. (A1.unsafe_get abuf qk *. A1.unsafe_get bp r0);
           Array.unsafe_set acc 5 @@
             Array.unsafe_get acc 5
-            +. (A1.unsafe_get abuf (qk + 1) *. Array.unsafe_get bp (r0 + 1));
+            +. (A1.unsafe_get abuf (qk + 1) *. A1.unsafe_get bp (r0 + 1));
           Array.unsafe_set acc 6 @@
             Array.unsafe_get acc 6
-            +. (A1.unsafe_get abuf (qk + 2) *. Array.unsafe_get bp (r0 + 2));
+            +. (A1.unsafe_get abuf (qk + 2) *. A1.unsafe_get bp (r0 + 2));
           Array.unsafe_set acc 7 @@
             Array.unsafe_get acc 7
-            +. (A1.unsafe_get abuf (qk + 3) *. Array.unsafe_get bp (r0 + 3));
+            +. (A1.unsafe_get abuf (qk + 3) *. A1.unsafe_get bp (r0 + 3));
           incr t
         done;
         A1.unsafe_set cbuf c0 (Array.unsafe_get acc 0);
@@ -754,7 +534,7 @@ let hadamard_driver st (abuf : Dense.buf) (bbuf : Dense.buf)
             let bo = ob + Array.unsafe_get kb (!pc + t) + (!j0 * sbj) in
             let r = t * jw in
             for jj = 0 to jw - 1 do
-              Array.unsafe_set bp (r + jj)
+              A1.unsafe_set bp (r + jj)
                 (A1.unsafe_get bbuf (bo + (jj * sbj)))
             done
           done;
@@ -932,7 +712,7 @@ let contract_acc ?(pin_out = []) ?(pin_a = []) ?(pin_b = []) ~into a b =
       st.mcf <- grow_i st.mcf msz;
       fill_offsets st.ma ra_dims (fun d -> d.sa);
       fill_offsets st.mcf ra_dims (fun d -> d.sc);
-      st.bp <- grow_f st.bp (min hkc ksz * min hb jd.ext);
+      st.bp <- grow_b st.bp (min hkc ksz * min hb jd.ext);
       hadamard_driver st da db dc ~abase ~bbase ~cbase ~jd ~rb_dims ~ra_dims
         ~ksz
     | `Gemm _ | `Pinned_inner ->
@@ -957,9 +737,9 @@ let contract_acc ?(pin_out = []) ?(pin_a = []) ?(pin_b = []) ~into a b =
       fill_offsets st.nb n_dims (fun d -> d.sb);
       fill_offsets st.ncf n_dims (fun d -> d.sc);
       last := Gemm;
-      st.ap <- grow_f st.ap (min mc msz * min kc ksz);
-      st.bp <- grow_f st.bp (min kc ksz * min nc nsz);
-      st.cp <- grow_f st.cp (min mc msz * min nc nsz);
+      st.ap <- grow_b st.ap (min mc msz * min kc ksz);
+      st.bp <- grow_b st.bp (min kc ksz * min nc nsz);
+      st.cp <- grow_b st.cp (min mc msz * min nc nsz);
       let nh = Array.length h_dims in
       let rec go d oa ob oc =
         if d = nh then

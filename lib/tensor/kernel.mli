@@ -4,21 +4,25 @@
     each joint dimension is classified purely by its strides across the
     three tensors, extent-1 dimensions are dropped, and adjacent
     dimensions that are jointly contiguous are coalesced. The result is
-    dispatched to one of three pack → microkernel → unpack flavors —
-    GEMM (innermost output dimension absent from one operand), Hadamard
-    (innermost output dimension present in both) or Dot (no output
-    dimensions) — so the 2×4 register-tiled, K-unrolled microkernel runs
-    on {e every} binary contraction. Noncoalescible operand layouts are
-    copy-packed into contiguous panels through flat offset tables,
-    amortized over the KC/MC/NC cache blocking. The generic stride walk
+    dispatched to one of three pack → microkernel → unpack flavors, so
+    a register-tiled kernel runs on {e every} binary contraction:
+    - GEMM (innermost output dimension absent from one operand): per
+      KC/MC/NC cache block, one C call packs A and B into 4-row and
+      4-column micro-panels and runs a 4×4 tile of two-lane vectors
+      over them;
+    - Hadamard (innermost output dimension present in both): a 2×4
+      OCaml tile, K unrolled by 4, over a packed B panel;
+    - Dot (no output dimensions): one unrolled chain.
+    Noncoalescible operand layouts are copy-packed through flat offset
+    tables, amortized over the cache blocking. The generic stride walk
     survives only as a debug oracle behind {!set_walk_oracle}.
 
-    Packing preserves the historical accumulation order of every
-    pre-packing path, so results are bit-identical to both the walk (on
-    the same canonicalized dimensions) and earlier releases. All paths
-    perform zero per-element
-    allocation (panels and offset tables are per-domain, grow-only
-    scratch). *)
+    Every flavor adds each cell's products in ascending summation order,
+    each multiply and add rounded separately (the C tile is built with
+    [-ffp-contract=off]), so results are bit-identical to both the walk
+    (on the same canonicalized dimensions) and earlier releases. All
+    paths perform zero per-element allocation (panels and offset tables
+    are per-domain, grow-only scratch). *)
 
 open! Import
 
@@ -46,7 +50,7 @@ val contract_acc :
 (** {2 Probes} *)
 
 type path =
-  | Gemm  (** packed (M,N,K) blocking, register-tiled microkernel *)
+  | Gemm  (** packed (M,N,K) blocking, C vector microkernel *)
   | Hadamard
       (** innermost output dimension shared by both operands: packed B
           panels over contiguous C strips *)

@@ -151,6 +151,12 @@ send({"id": "bad-grid", "op": "optimize", "expr": MATMUL % 8, "procs": 3})
 r = wait_for("bad-grid")
 check(r.get("error", {}).get("kind") == "invalid_request",
       "non-square grid typed invalid_request")
+send({"id": "bad-bw", "op": "optimize", "expr": MATMUL % 8, "procs": 4,
+      "bandwidth_mbs": 0})
+r = wait_for("bad-bw")
+check(r.get("error", {}).get("kind") == "invalid_request"
+      and "bandwidth_mbs" in r.get("error", {}).get("message", ""),
+      "zero bandwidth typed invalid_request naming the field")
 
 # 14. injected worker crash -> typed error, daemon survives
 send({"id": "boom", "op": "debug_crash"})
@@ -187,6 +193,16 @@ send({"id": "stats-1", "op": "stats"})
 r = wait_for("stats-1")
 check(r.get("status") == "ok" and "cache" in r and "latency" in r
       and r["cache"].get("hits", 0) >= 1, "stats exposes cache and latency")
+
+# A drain line rejected at parse is an ordinary invalid request: the
+# daemon keeps reading, so the next line is answered.
+send_raw('{"id":"bad-drain","op":"drain","deadline_ms":"x"}')
+r = wait_for("bad-drain", timeout=10)
+check(r.get("error", {}).get("kind") == "invalid_request",
+      "drain with a string deadline typed invalid_request")
+send({"id": "after-bad-drain", "op": "health"})
+r = wait_for("after-bad-drain", timeout=10)
+check(r.get("status") == "ok", "line after a rejected drain is answered")
 
 # 20. drain: ok + clean process exit
 send({"id": "bye", "op": "drain"})

@@ -238,6 +238,56 @@ let pack_vs_walk_pins_block ~seed ~count () =
             ctx
       done)
 
+(* GEMM shapes at the edges of the 4 × 4 register tile (M, N in
+   {1, 3, 4, 5}) and one past each cache block (M = 65 > MC, N = 513 > NC,
+   K = 257 > KC), which the random instances above (extents <= 8) rarely
+   reach; every value appears in some shape. Each shape runs in both
+   operand orders (B·A takes the flipped GEMM arm) and once between
+   pinned slabs, the C slab's label innermost so C is strided, each from
+   a random starting output, and must match the walk oracle bit for
+   bit. *)
+let gemm_edges () =
+  let prng = Prng.create ~seed:5201 in
+  let i = Index.v "i" and j = Index.v "j" and k = Index.v "k" in
+  let xa = Index.v "xa" and xo = Index.v "xo" in
+  let random dims =
+    let t = Dense.create dims in
+    Dense.fill_random t prng;
+    t
+  in
+  let against_walk ctx contract into0 =
+    Fun.protect
+      ~finally:(fun () -> Kernel.set_walk_oracle false)
+      (fun () ->
+        let packed = Dense.copy into0 in
+        contract packed;
+        if Kernel.last_path () <> Kernel.Gemm then
+          Alcotest.failf "%s: did not take the GEMM flavor" ctx;
+        let walked = Dense.copy into0 in
+        Kernel.set_walk_oracle true;
+        contract walked;
+        Kernel.set_walk_oracle false;
+        if not (Dense.bits_equal packed walked) then
+          Alcotest.failf "%s: GEMM differs from walk oracle in the bits" ctx)
+  in
+  List.iter
+    (fun (m, n, kk) ->
+      let ctx = Printf.sprintf "M=%d N=%d K=%d" m n kk in
+      let a = random [ (i, m); (k, kk) ] and b = random [ (k, kk); (j, n) ] in
+      let c0 = random [ (i, m); (j, n) ] in
+      against_walk (ctx ^ " A·B") (fun into -> Kernel.contract_acc ~into a b) c0;
+      against_walk (ctx ^ " B·A") (fun into -> Kernel.contract_acc ~into b a) c0;
+      let big_a = random [ (xa, 2); (i, m); (k, kk) ] in
+      against_walk (ctx ^ " pinned")
+        (fun into ->
+          Kernel.contract_acc ~pin_a:[ (xa, 1) ] ~pin_out:[ (xo, 1) ] ~into
+            big_a b)
+        (random [ (i, m); (j, n); (xo, 3) ]))
+    [
+      (1, 513, 3); (3, 4, 257); (4, 3, 1); (5, 1, 257); (65, 5, 3);
+      (65, 513, 257);
+    ]
+
 (* ---------------- differential: model vs replay ---------------- *)
 
 (* A random uniform (affine) machine: step time is latency + bytes/bw with
@@ -471,6 +521,8 @@ let suite =
           (pack_vs_walk_block ~seed:5002 ~count:40);
         case "pinned pack == walk oracle, bit-for-bit (seed 5101)"
           (pack_vs_walk_pins_block ~seed:5101 ~count:25);
+        case "GEMM tile and block edges == walk oracle, bit-for-bit"
+          gemm_edges;
       ] );
     ( "prop.differential",
       [

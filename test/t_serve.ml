@@ -630,6 +630,39 @@ let test_request_mutants_typed () =
       match Proto.parse_request line with
       | Ok _ | Error (`Parse _) | Error (`Invalid _) -> true)
 
+(* Machine values a constructor would refuse, or plan with as nonsense,
+   are typed [invalid_request]s naming the field: no worker crashes. *)
+let test_bad_machine_values_typed () =
+  let line fields =
+    Printf.sprintf {|{"id":1,"op":"optimize","expr":%s,"procs":4,%s}|}
+      (Json.to_string (Json.Str matmul_expr))
+      fields
+  in
+  with_server (default_cfg ()) (fun server ->
+      List.iter
+        (fun (fields, field) ->
+          let r = call server (line fields) in
+          Alcotest.(check string) fields "invalid_request" (error_kind r);
+          let message =
+            match Json.member "error" r with
+            | Some err -> get_str "message" err
+            | None -> ""
+          in
+          if not (contains message field) then
+            Alcotest.failf "%s: message %S does not name %s" fields message
+              field)
+        [
+          ({|"bandwidth_mbs":0|}, "bandwidth_mbs");
+          ({|"topology":"node","intra_latency_us":-1|}, "intra_latency_us");
+          ( {|"topology":"node","intra_bandwidth_mbs":0|},
+            "intra_bandwidth_mbs" );
+          ({|"mflops":-5|}, "mflops");
+          ({|"mem_gb":1e999|}, "mem_gb");
+        ];
+      let s = call server {|{"id":"s","op":"stats"}|} in
+      Alcotest.(check (float 0.)) "no worker crashed" 0.
+        (get_num "worker_crashes" s))
+
 let test_infeasible_memory_is_typed () =
   with_server (default_cfg ()) (fun server ->
       let r =
@@ -659,10 +692,12 @@ let test_overload_rejection () =
       let replies = ref [] in
       let lock = Mutex.create () in
       let submit line =
-        Server.submit_line server line ~reply:(fun s ->
-            Mutex.lock lock;
-            replies := s :: !replies;
-            Mutex.unlock lock)
+        ignore
+          (Server.submit_line server line ~reply:(fun s ->
+               Mutex.lock lock;
+               replies := s :: !replies;
+               Mutex.unlock lock)
+            : bool)
       in
       (* Occupy the single worker... *)
       submit {|{"id":"busy","op":"debug_sleep","ms":300}|};
@@ -682,8 +717,10 @@ let test_overload_rejection () =
 let test_deadline_expires_in_queue () =
   let cfg = default_cfg ~workers:1 ~queue_capacity:4 ~debug_ops:true () in
   with_server cfg (fun server ->
-      Server.submit_line server {|{"id":"busy","op":"debug_sleep","ms":300}|}
-        ~reply:(fun _ -> ());
+      ignore
+        (Server.submit_line server {|{"id":"busy","op":"debug_sleep","ms":300}|}
+           ~reply:(fun _ -> ())
+          : bool);
       await "worker pickup" (fun () -> Server.queue_depth server = 0);
       (* Queued behind a 300 ms sleep with a 5 ms budget: expired at
          dequeue, before any search starts. *)
@@ -917,6 +954,38 @@ let test_drain_rejects_new_work () =
       Alcotest.(check string) "post-drain status" "error" (status r2);
       Alcotest.(check string) "post-drain kind" "draining" (error_kind r2))
 
+(* [submit_line] reports an admitted drain, and only that: a drain line
+   rejected at parse (a string deadline) returns [false], so a stdio
+   front end keeps reading and answers the next line. *)
+let test_submit_line_reports_drain () =
+  let server = Server.create (default_cfg ()) in
+  Fun.protect
+    ~finally:(fun () -> Server.close server)
+    (fun () ->
+      (* Admin ops and malformed lines are answered on the calling
+         thread, so the reply is in by the time [submit_line] returns. *)
+      let submit line =
+        let got = ref None in
+        let drained =
+          Server.submit_line server line ~reply:(fun s -> got := Some s)
+        in
+        match !got with
+        | Some s -> (drained, Json.parse_exn s)
+        | None -> Alcotest.failf "no synchronous reply to %s" line
+      in
+      let drained, r = submit {|{"id":1,"op":"drain","deadline_ms":"x"}|} in
+      Alcotest.(check bool) "rejected drain" false drained;
+      Alcotest.(check string) "rejected drain kind" "invalid_request"
+        (error_kind r);
+      let drained, r = submit {|{"id":2,"op":"health"}|} in
+      Alcotest.(check bool) "health" false drained;
+      Alcotest.(check string) "health answered" "ok" (status r);
+      let drained, _ = submit "not json" in
+      Alcotest.(check bool) "parse error" false drained;
+      let drained, r = submit {|{"id":3,"op":"drain"}|} in
+      Alcotest.(check bool) "admitted drain" true drained;
+      Alcotest.(check bool) "drain answered" true (get_bool "drained" r))
+
 (* The daemon's only search concurrency is its worker domains: with two
    workers, four distinct requests (a matmul, a chain, a sum, the CCSD
    term) submitted at once are served side by side, and each plan
@@ -937,8 +1006,10 @@ let test_two_workers_match_one () =
   with_server (default_cfg ~workers:2 ()) (fun server ->
       List.iteri
         (fun k line ->
-          Server.submit_line server line ~reply:(fun s ->
-              replies.(k) <- Some (Json.parse_exn s)))
+          ignore
+            (Server.submit_line server line ~reply:(fun s ->
+                 replies.(k) <- Some (Json.parse_exn s))
+              : bool))
         lines;
       (* Drain waits for every in-flight reply. *)
       Server.drain server);
@@ -1066,6 +1137,7 @@ let suite =
         case "malformed requests typed" test_malformed_lines;
         case "one-byte request mutants parse or fail typed"
           test_request_mutants_typed;
+        case "bad machine values typed" test_bad_machine_values_typed;
         case "infeasible memory typed" test_infeasible_memory_is_typed;
         case "overload rejected with hint" test_overload_rejection;
         case "deadline expires in queue" test_deadline_expires_in_queue;
@@ -1077,6 +1149,8 @@ let suite =
           test_degrade_always_is_approximate;
         case "worker crash isolated" test_worker_crash_isolation;
         case "drain rejects new work" test_drain_rejects_new_work;
+        case "submit_line reports an admitted drain"
+          test_submit_line_reports_drain;
         case "two workers serve side by side as one does"
           test_two_workers_match_one;
         case "search_jobs accepted only as 1" test_search_jobs_shim;
