@@ -873,8 +873,8 @@ let spmd () =
 
 (* Measures what the Obs probes cost: whole-plan pooled execution with no
    sink installed (every probe is one atomic load) vs with a sink
-   recording, plus the event volume of a traced simulator replay. Writes
-   BENCH_trace.json. *)
+   recording, plus the event volume of a traced simulator replay, with
+   the host's core count. Writes BENCH_trace.json. *)
 let trace () =
   section "Tracing: probe overhead and trace volume";
   let problem, seq, tree = load ccsd_small_text in
@@ -918,9 +918,11 @@ let trace () =
   let path = "BENCH_trace.json" in
   Out_channel.with_open_text path (fun oc ->
       Printf.fprintf oc
-        "{\n  \"benchmark\": \"trace\",\n  \"off_seconds\": %.6e,\n  \
-         \"on_seconds\": %.6e,\n  \"overhead_factor\": %.3f,\n  \
-         \"spmd_events\": %d,\n  \"simulate_events\": %d\n}\n"
+        "{\n  \"benchmark\": \"trace\",\n  \"host_cores\": %d,\n  \
+         \"off_seconds\": %.6e,\n  \"on_seconds\": %.6e,\n  \
+         \"overhead_factor\": %.3f,\n  \"spmd_events\": %d,\n  \
+         \"simulate_events\": %d\n}\n"
+        (Domain.recommended_domain_count ())
         off_s on_s (on_s /. off_s) !traced_events sim_events);
   Format.printf "@.wrote %s@." path
 

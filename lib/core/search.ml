@@ -331,11 +331,14 @@ let priced () =
     out = [||];
   }
 
-(* The next free row, growing every column by doubling when full. *)
-let next_row p =
+(* The next free row, growing every column by doubling when full. A
+   column of millions of rows takes milliseconds to grow, so [poll],
+   when given, runs before each column grows. *)
+let next_row ?poll p =
   let t = p.n in
   if t = Array.length p.cost then begin
     let grow a fill =
+      Option.iter (fun poll -> poll ()) poll;
       let b = Array.make (max 64 (2 * t)) fill in
       Array.blit a 0 b 0 t;
       b
@@ -379,9 +382,11 @@ type ctx = {
           charged as resident. Empty for single-tree solves. *)
 }
 
-(* Cooperative cancellation, checked at every DP node (and before each
-   per-variant enumeration block, so a single huge node stays
-   responsive). The raise propagates out of [plan] as the typed error. *)
+(* Cooperative cancellation, checked at every DP node and before each
+   per-variant enumeration block, and within a node every 4,096 priced
+   candidates, per column as the candidate store grows, and as pruning
+   counts, visits and sorts its groups, so a single huge node stays
+   responsive. The raise propagates out of [plan] as the typed error. *)
 let check_cancel ctx =
   match ctx.eng.cancel with
   | Some cancelled when cancelled () ->
@@ -725,8 +730,9 @@ let redist_cost c acc =
    (left case, right case, then parent fusion as [legal] lists them). A
    candidate's cost sums, in this order, the child costs, the rotation
    term and the redistributions; a combination over [limit] node bytes
-   is not a candidate. *)
-let price p ~bytes_per_word ~limit ~group_of ~left ~right v vt =
+   is not a candidate. [poll], when given, runs once every 4,096
+   candidates, so a node of millions stays cancellable. *)
+let price p ~poll ~bytes_per_word ~limit ~group_of ~left ~right v vt =
   for li = 0 to Array.length left.cases - 1 do
     let lk = left.key_of.(li) in
     if vt.live.(lk) then
@@ -766,7 +772,10 @@ let price p ~bytes_per_word ~limit ~group_of ~left ~right v vt =
                        + max buffer e.msg_words.(k))
                 in
                 if bytes <= limit then begin
-                  let t = next_row p in
+                  let t = next_row ?poll p in
+                  (match poll with
+                  | Some poll when t land 4095 = 4095 -> poll ()
+                  | _ -> ());
                   p.cost.(t) <- cost_lr +. e.rot_cost.(k) +. redist;
                   p.bytes.(t) <- bytes;
                   p.rots.(t) <- rots;
@@ -821,8 +830,9 @@ let compare_priced p ~orient =
    [Hashtbl.create 32] keyed by (content key, fused key) strings, each
    inserted at its first occurrence in the newest-first list; a group
    lists its survivors oldest first. Returns the surviving rows in that
-   order. *)
-let prune p ~orient ~groups ~group_key =
+   order. [poll], when given, runs once the groups are counted, once per
+   group and every 4,096 comparisons of a group's sort. *)
+let prune p ~poll ~orient ~groups ~group_key =
   let n = p.n in
   let count = Array.make groups 0 in
   for t = 0 to n - 1 do
@@ -833,6 +843,7 @@ let prune p ~orient ~groups ~group_key =
   for g = 1 to groups - 1 do
     start.(g) <- start.(g - 1) + count.(g - 1)
   done;
+  Option.iter (fun poll -> poll ()) poll;
   let members = Array.make n 0 and fill = Array.copy start in
   for t = 0 to n - 1 do
     let g = p.group.(t) in
@@ -844,8 +855,21 @@ let prune p ~orient ~groups ~group_key =
     let point = compare_priced p ~orient in
     fun x y -> match point x y with 0 -> Int.compare y x | c -> c
   in
+  (* One group can hold a sizable share of a node's candidates, so its
+     sort polls too, every 4,096 comparisons. *)
+  let sort_by_point =
+    match poll with
+    | None -> by_point
+    | Some poll ->
+      let k = ref 0 in
+      fun x y ->
+        incr k;
+        if !k land 4095 = 0 then poll ();
+        by_point x y
+  in
   for g = 0 to groups - 1 do
     if count.(g) > 0 then begin
+      Option.iter (fun poll -> poll ()) poll;
       (* The group's least candidate survives and dominates every one
          with as many bytes, so only the rest are sorted and swept. *)
       let first = start.(g) and last = start.(g) + count.(g) - 1 in
@@ -862,7 +886,7 @@ let prune p ~orient ~groups ~group_key =
         end
       done;
       let rest = Array.sub rest 0 !r in
-      Array.stable_sort by_point rest;
+      Array.stable_sort sort_by_point rest;
       Array.iter
         (fun t ->
           if p.bytes.(t) < !least_bytes then begin
@@ -1105,6 +1129,7 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
           outs)
   in
   (* Price: every variant's candidates, variants in enumeration order. *)
+  let poll = Option.map (fun _ () -> check_cancel ctx) ctx.eng.cancel in
   let p = ctx.eng.priced in
   p.n <- 0;
   let per_variant =
@@ -1116,6 +1141,7 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
             ~rotation ~resident variant
         in
         price p
+          ~poll
           ~bytes_per_word:(Memacct.bytes_per_word cfg.params)
           ~limit:(mem_limit cfg)
           ~group_of:
@@ -1130,7 +1156,7 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let orient t = orient_rank.(p.variant.(t)) in
   let kept =
     if ctx.pass.prune then
-      prune p ~orient
+      prune p ~orient ~poll
         ~groups:(Array.length content_keys * nf)
         ~group_key:(fun g -> (content_keys.(g / nf), fused_keys.(g mod nf)))
     else List.init generated (fun k -> generated - 1 - k)

@@ -15,7 +15,7 @@
 
     - {b wall clock} ([pid = wall_pid]): real elapsed time, measured with
       [Unix.gettimeofday] relative to the sink's creation. Per-rank SPMD
-      activity (send-wait, recv-wait, multiply, barrier, gather) lives
+      activity (send-wait, recv-wait, multiply, barrier) lives
       here, one Chrome thread (tid) per rank.
     - {b simulated clock} ([pid = sim_pid]): the discrete-event cluster's
       clock. {!span_sim} records a span at explicit [t0]/[t1] simulated

@@ -7,6 +7,7 @@ module Index = Tce_index.Index
 module Extents = Tce_index.Extents
 module Dense = Tce_tensor.Dense
 module Einsum = Tce_tensor.Einsum
+module Kernel = Tce_tensor.Kernel
 module Aref = Tce_expr.Aref
 module Grid = Tce_grid.Grid
 module Dist = Tce_grid.Dist

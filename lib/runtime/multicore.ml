@@ -26,21 +26,29 @@ let check_pool grid = function
       (Spmd.Pool.procs pool) (Grid.procs grid)
   | _ -> ()
 
-(* Ranks gather without a lock, so their output blocks must tile [result]
-   disjointly. They do — the schedule's placement at a step is a
-   permutation of blocks — but that is a property of [Schedule], not of
-   this writer, so debug builds re-check it: two blocks are disjoint iff
-   some dimension's (offset, length) ranges do not intersect. *)
-let gather_blocks_disjoint blocks =
+(* A block a rank holds: a window, per label [(offset, length)], of one
+   of the call's tensors — an operand, or the result it accumulates
+   into. Ranks read and write blocks in place, and a shift sends the
+   window, not its cells. *)
+type block = { tensor : Dense.t; win : (Index.t * (int * int)) list }
+
+(* Ranks accumulate straight into the result without a lock, so the
+   output windows held at any one step must not overlap. They do not —
+   the schedule's placement at a step is a permutation of blocks — but
+   that is a property of [Schedule], not of this writer, so debug builds
+   re-check it: two windows are disjoint iff some dimension's
+   (offset, length) ranges do not intersect. *)
+let windows_disjoint windows =
   let overlap (o1, l1) (o2, l2) = o1 < o2 + l2 && o2 < o1 + l1 in
-  let blocks_overlap a b =
-    List.for_all2 (fun (_, r1) (_, r2) -> overlap r1 r2) a b
-  in
-  let n = Array.length blocks in
+  let n = Array.length windows in
   let ok = ref true in
   for r = 0 to n - 1 do
     for s = r + 1 to n - 1 do
-      if blocks_overlap blocks.(r) blocks.(s) then ok := false
+      if
+        List.for_all2
+          (fun (_, x) (_, y) -> overlap x y)
+          windows.(r) windows.(s)
+      then ok := false
     done
   done;
   !ok
@@ -48,11 +56,12 @@ let gather_blocks_disjoint blocks =
 (* Generalized Cannon on domains (DESIGN.md §17), one body for every
    grid shape: [Schedule] says which block each rank holds at step 0,
    which roles it exchanges after each step and the ω window it
-   multiplies over; this function only moves blocks and multiplies. Each
-   step multiplies over the window, so every logical contribution is
-   computed exactly once; when a rotated output block's ω range strictly
-   contains the window, the product lands in a temporary and accumulates
-   at an offset. Steps are serialized: multiply, then exchange. *)
+   multiplies over; this function only moves windows and multiplies.
+   Each step multiplies over the window, so every logical contribution
+   is computed exactly once; when a rotated output block's ω range
+   strictly contains the window, the product lands in a temporary and
+   accumulates at the window's offset. Steps are serialized: multiply,
+   then exchange. *)
 let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
   check_extents grid ext variant;
   check_pool grid pool;
@@ -70,73 +79,66 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
   let result =
     Dense.create (List.map (fun i -> (i, Extents.extent ext i)) out_dims)
   in
-  (* Each rank's final-step output block, precomputed so the disjointness
-     backing the lock-free gather is checkable before any domain runs. *)
-  let gather =
-    Array.init (Grid.procs grid) (fun r ->
-        let z1, z2 = Grid.coord_of grid r in
-        Schedule.block_ranges sched ext Variant.Out ~dims:out_dims
-          ~step:(steps - 1) ~z1 ~z2)
-  in
-  assert (gather_blocks_disjoint gather);
+  assert (
+    List.for_all
+      (fun step ->
+        windows_disjoint
+          (Array.init (Grid.procs grid) (fun r ->
+               let z1, z2 = Grid.coord_of grid r in
+               Schedule.block_ranges sched ext Variant.Out ~dims:out_dims ~step
+                 ~z1 ~z2)))
+      (List.init steps Fun.id));
   let worker ctx =
     let my = Spmd.rank ctx in
     let z1, z2 = Grid.coord_of grid my in
-    let home role ~dims =
-      Schedule.block_ranges sched ext role ~dims ~step:0 ~z1 ~z2
+    let home role tensor =
+      let dims = Dense.labels tensor in
+      let win = Schedule.block_ranges sched ext role ~dims ~step:0 ~z1 ~z2 in
+      ref { tensor; win }
     in
-    let slice role full =
-      ref (Dense.block full (home role ~dims:(Dense.labels full)))
-    in
-    let my_left = slice Variant.Left left in
-    let my_right = slice Variant.Right right in
-    let my_out =
-      ref
-        (Dense.create
-           (List.map
-              (fun (i, (_, len)) -> (i, len))
-              (home Variant.Out ~dims:out_dims)))
-    in
+    let my_left = home Variant.Left left in
+    let my_right = home Variant.Right right in
+    let my_out = home Variant.Out result in
     let cell_of role =
       match role with
       | Variant.Left -> my_left
       | Variant.Right -> my_right
       | Variant.Out -> my_out
     in
-    (* Accumulate each step straight into the rank's output block: no
-       per-step delta tensor, no [Einsum.add]. Received blocks arrive by
-       reference through the shared-heap Spmd mailbox. *)
     let multiply_impl ~step =
       match Schedule.window sched ext ~step ~z1 ~z2 with
       | None -> ()
       | Some (lo, len) ->
-        let held role = Schedule.omega_range sched ext role ~step ~z1 ~z2 in
-        (* Restrict a rotated operand to the window; a no-op (no copy)
-           when it holds exactly the window. *)
-        let operand role =
-          let blk = !(cell_of role) in
-          if not (Variant.rotates variant role) then blk
+        (* A rotated block's ω range narrows to the step's window,
+           relative to the block that arrived, so a misrouted block still
+           computes with the cells it names. *)
+        let narrow role =
+          let { win; _ } = !(cell_of role) in
+          if not (Variant.rotates variant role) then win
           else
-            let off, n = held role in
-            if off = lo && n = len then blk
-            else Dense.block blk [ (omega, (lo - off, len)) ]
+            let off, _ = Schedule.omega_range sched ext role ~step ~z1 ~z2 in
+            List.map
+              (fun ((i, (o, _)) as w) ->
+                if Index.equal i omega then (i, (o + lo - off, len)) else w)
+              win
         in
-        let lhs = operand Variant.Left and rhs = operand Variant.Right in
-        let out_off, out_len =
-          if Variant.rotates variant Variant.Out then held Variant.Out
-          else (lo, len)
+        let contract ?win_out into =
+          Kernel.contract_acc ?win_out ~win_a:(narrow Variant.Left)
+            ~win_b:(narrow Variant.Right) ~into !my_left.tensor
+            !my_right.tensor
         in
-        if out_off = lo && out_len = len then
-          Einsum.contract2_acc ~into:!my_out lhs rhs
+        let out = !my_out and win_out = narrow Variant.Out in
+        if win_out = out.win then contract ~win_out out.tensor
         else begin
+          (* The held ω range strictly contains the window: sum into a
+             temporary, then add it at the window's offsets. *)
           let tmp =
-            Dense.create
-              (List.map
-                 (fun (i, n) -> (i, if Index.equal i omega then len else n))
-                 (Dense.dims !my_out))
+            Dense.create (List.map (fun (i, (_, n)) -> (i, n)) win_out)
           in
-          Einsum.contract2_acc ~into:tmp lhs rhs;
-          Dense.add_block !my_out [ (omega, lo - out_off) ] tmp
+          contract tmp;
+          Dense.add_block out.tensor
+            (List.map (fun (i, (o, _)) -> (i, o)) win_out)
+            tmp
         end
     in
     let multiply ~step =
@@ -159,19 +161,6 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
       multiply ~step;
       List.iter exchange (Schedule.shifts_after sched ~step ~z1 ~z2)
     done;
-    (* Gather: each domain writes its (possibly displaced) output block.
-       The blocks tile [result] disjointly (asserted above), so the
-       stride-walk writes need no lock; the join/completion handshake
-       publishes them to the caller. *)
-    let offsets =
-      List.filter_map
-        (fun (i, (off, _)) -> if off = 0 then None else Some (i, off))
-        gather.(my)
-    in
-    (if Obs.enabled () then
-       Obs.span ~cat:"compute" ~tid:my "gather" (fun () ->
-           Dense.set_block result offsets !my_out)
-     else Dense.set_block result offsets !my_out);
     Spmd.barrier ctx
   in
   let (_ : unit array) =

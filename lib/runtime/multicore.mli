@@ -10,10 +10,13 @@
     grids (up to 16 domains).
 
     The engine is one body (DESIGN.md §10): Cannon steps are serialized
-    (exchange, then multiply, as the paper's cost model charges them),
-    ranks gather their disjoint output blocks lock-free, {!run_plan} runs
-    every step on one persistent {!Spmd.Pool} team, and intermediates are
-    dropped after their last use.
+    (exchange, then multiply, as the paper's cost model charges them), a
+    block is a window on one of the caller's tensors rather than a copy
+    of its cells, ranks accumulate lock-free straight into the result
+    through the disjoint output windows they hold at each step, so there
+    is no gather, {!run_plan} runs every step on one persistent
+    {!Spmd.Pool} team, and intermediates are dropped after their last
+    use. Ranks only read the operands.
 
     Crash safety comes from the {!Spmd} layer: a domain that raises (or a
     receive that exceeds [?recv_timeout_s]) poisons the team, every peer
@@ -23,11 +26,16 @@
 
 open! Import
 
+type block
+(** What a rank holds and shifts: a window, per label [(offset, length)],
+    of an operand or of the result — the {!Spmd.Pool} message type. *)
+
 val run_contraction :
-  ?pool:Dense.t Spmd.Pool.t -> ?recv_timeout_s:float -> Grid.t -> Extents.t
+  ?pool:block Spmd.Pool.t -> ?recv_timeout_s:float -> Grid.t -> Extents.t
   -> Variant.t -> left:Dense.t -> right:Dense.t -> Dense.t
 (** One contraction, one domain per processor. The operand tensors are
-    full (undistributed); the result is the gathered full output. [?pool]
+    full (undistributed) and only read; the result is the full output,
+    which the ranks fill in place. [?pool]
     reuses a persistent team (its size must match the grid;
     [Tce_error.Error] otherwise) instead of spawning domains for the
     call. [?recv_timeout_s] bounds every block receive; on expiry the run
@@ -35,7 +43,7 @@ val run_contraction :
     extent below its grid axis length is a [Tce_error.Error]. *)
 
 val run_plan :
-  ?pool:Dense.t Spmd.Pool.t -> ?recv_timeout_s:float
+  ?pool:block Spmd.Pool.t -> ?recv_timeout_s:float
   -> ?on_free:(string -> unit) -> Grid.t -> Extents.t -> Plan.t
   -> inputs:(string * Dense.t) list -> Dense.t
 (** Execute every step of the plan on one persistent {!Spmd.Pool} team:

@@ -54,24 +54,46 @@ let set_walk_oracle b = walk_oracle := b
 (* Canonicalization helpers                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve pinned labels of [t] to a base flat offset, and return the
-   remaining (visible) labels in storage order. A pinned dimension is
-   excluded from iteration entirely; its position only shifts the base. *)
-let apply_pins ctx t pins =
-  let base = ref 0 in
-  List.iter
-    (fun (l, p) ->
-      match Dense.extent_of t l with
-      | exception Not_found ->
-        fail "Kernel.%s: pinned label %s not in tensor" ctx (Index.name l)
-      | e ->
-        if p < 0 || p >= e then
-          fail "Kernel.%s: pin %s=%d out of range (extent %d)" ctx
-            (Index.name l) p e;
-        base := !base + (p * Dense.stride_of t l))
-    pins;
+(* Resolve the pins and windows of [t] to a base flat offset, and return
+   the remaining (visible) labels in storage order, each with the extent
+   it iterates, its stride, and the stride it would have in the
+   [Dense.block] copy of [t]'s windows (its stride when [t] has none).
+   A pinned dimension is excluded from iteration entirely; a windowed
+   one iterates its window's length. Either way the position only
+   shifts the base. *)
+let apply_pins t ~pins ~wins =
+  let base = ref 0 and seen = ref [] in
+  let place what l p len =
+    match Dense.extent_of t l with
+    | exception Not_found ->
+      fail "Kernel.contract_acc: %s label %s not in tensor" what (Index.name l)
+    | e ->
+      if List.exists (Index.equal l) !seen then
+        fail "Kernel.contract_acc: label %s pinned or windowed twice"
+          (Index.name l);
+      if p < 0 || len < 1 || p + len > e then
+        fail "Kernel.contract_acc: %s %s=(%d, %d) out of range (extent %d)"
+          what (Index.name l) p len e;
+      seen := l :: !seen;
+      base := !base + (p * Dense.stride_of t l)
+  in
+  List.iter (fun (l, p) -> place "pinned" l p 1) pins;
+  List.iter (fun (l, (off, len)) -> place "windowed" l off len) wins;
   let pinned l = List.exists (fun (l', _) -> Index.equal l l') pins in
-  (!base, List.filter (fun l -> not (pinned l)) (Dense.labels t))
+  (* A dimension's copy stride is the product of the copy extents of
+     the dimensions inside it. *)
+  let rec visible = function
+    | [] -> (1, [])
+    | (l, e) :: rest ->
+      let cs, vis = visible rest in
+      let e =
+        match List.find_opt (fun (l', _) -> Index.equal l l') wins with
+        | Some (_, (_, len)) -> len
+        | None -> e
+      in
+      (cs * e, if pinned l then vis else (l, e, Dense.stride_of t l, cs) :: vis)
+  in
+  (!base, snd (visible (Dense.dims t)))
 
 (* Extent-1 dimensions contribute nothing to any offset. *)
 let drop_unit dims = List.filter (fun d -> d.ext > 1) dims
@@ -617,71 +639,102 @@ let kd_reorder sum_dims =
     in
     remove_phys kd sum_dims @ [ kd ]
 
-let contract_acc ?(pin_out = []) ?(pin_a = []) ?(pin_b = []) ~into a b =
-  let cbase, cvis = apply_pins "contract_acc" into pin_out in
-  let abase, avis = apply_pins "contract_acc" a pin_a in
-  let bbase, bvis = apply_pins "contract_acc" b pin_b in
-  let visible vis l = List.exists (Index.equal l) vis in
-  let vis_stride vis t l = if visible vis l then Dense.stride_of t l else 0 in
-  let check_ext t vis l ext =
-    if visible vis l && Dense.extent_of t l <> ext then
-      fail "Kernel.contract_acc: extent mismatch on label %s" (Index.name l)
+(* [kd_reorder]'s summation order, chosen on the layout [copy] and laid
+   out on the dimensions [own] (aligned with [copy], extents equal): the
+   runs that [coalesce] merges on [copy] move as wholes, then [own]
+   coalesces on its own strides. A window breaks runs that its block
+   copy would merge, and the order must not depend on that, or windows
+   would sum in another order than copies. With [copy = own] this is
+   [kd_reorder (coalesce own)], dimension for dimension. *)
+let kd_order ~own ~copy =
+  let rec runs own = function
+    | [] -> []
+    | (g : dim) :: gs ->
+      (* A run's extents multiply to its merged extent, each above 1. *)
+      let rec take n run = function
+        | d :: rest when n < g.ext -> take (n * d.ext) (d :: run) rest
+        | rest -> (List.rev run, rest)
+      in
+      let run, rest = take 1 [] own in
+      (g, run) :: runs rest gs
   in
-  let out_dims =
+  let runs = runs own (coalesce copy) in
+  kd_reorder (List.map fst runs)
+  |> List.concat_map (fun g -> List.assq g runs)
+  |> coalesce
+
+let contract_acc ?(pin_out = []) ?(pin_a = []) ?(pin_b = []) ?(win_out = [])
+    ?(win_a = []) ?(win_b = []) ~into a b =
+  let cbase, cvis = apply_pins into ~pins:pin_out ~wins:win_out in
+  let abase, avis = apply_pins a ~pins:pin_a ~wins:win_a in
+  let bbase, bvis = apply_pins b ~pins:pin_b ~wins:win_b in
+  let find vis l = List.find_opt (fun (l', _, _, _) -> Index.equal l l') vis in
+  (* Each dimension twice: with its strides, and with those it would
+     have in the windows' block copies. *)
+  let dims (l, ext, sc, cc) =
+    let strides vis =
+      match find vis l with
+      | Some (_, e, s, c) ->
+        if e <> ext then
+          fail "Kernel.contract_acc: extent mismatch on label %s"
+            (Index.name l);
+        (s, c)
+      | None -> (0, 0)
+    in
+    let sa, ca = strides avis and sb, cb = strides bvis in
+    ({ ext; sa; sb; sc }, { ext; sa = ca; sb = cb; sc = cc })
+  in
+  let out =
     List.map
-      (fun l ->
-        let ext = Dense.extent_of into l in
-        let sa = vis_stride avis a l and sb = vis_stride bvis b l in
-        if sa = 0 && sb = 0 then
+      (fun ((l, _, _, _) as v) ->
+        let ((d, _) as twins) = dims v in
+        if d.sa = 0 && d.sb = 0 then
           fail "Kernel.contract_acc: output label %s absent from both operands"
             (Index.name l);
-        check_ext a avis l ext;
-        check_ext b bvis l ext;
-        { ext; sa; sb; sc = Dense.stride_of into l })
+        twins)
       cvis
   in
-  let in_out l = visible cvis l in
-  let sum_a = List.filter (fun l -> not (in_out l)) avis in
+  let summed l = find cvis l = None in
+  let sum_a = List.filter (fun (l, _, _, _) -> summed l) avis in
   let sum_b =
-    List.filter
-      (fun l -> (not (in_out l)) && not (List.exists (Index.equal l) sum_a))
-      bvis
+    List.filter (fun (l, _, _, _) -> summed l && find avis l = None) bvis
   in
-  let sum_dims =
-    List.map
-      (fun l ->
-        let ext =
-          if visible avis l then Dense.extent_of a l else Dense.extent_of b l
-        in
-        check_ext a avis l ext;
-        check_ext b bvis l ext;
-        { ext; sa = vis_stride avis a l; sb = vis_stride bvis b l; sc = 0 })
-      (sum_a @ sum_b)
+  let sum =
+    List.map (fun (l, ext, _, _) -> dims (l, ext, 0, 0)) (sum_a @ sum_b)
   in
-  let out_dims = coalesce (drop_unit out_dims) in
-  let sum_dims = coalesce (drop_unit sum_dims) in
+  let out_dims = coalesce (drop_unit (List.map fst out)) in
+  let out_copy = drop_unit (List.map snd out) in
+  let sum_fine = drop_unit (List.map fst sum) in
+  let sum_copy = drop_unit (List.map snd sum) in
+  let sum_dims = coalesce sum_fine in
   let da = Dense.buf a and db = Dense.buf b and dc = Dense.buf into in
   (* Flavor selection. The innermost output dimension (unit C stride
      whenever any survive coalescing) decides the canonical form; the
      summation order is chosen per flavor so each packed path reproduces
-     the historical accumulation order bit-for-bit. *)
+     the historical accumulation order bit-for-bit. Both are decided on
+     the windows' block-copy strides, so a window sums every cell in its
+     copy's order; the Hadamard driver also needs a unit C stride of its
+     own, and without one the GEMM driver runs the same order. *)
+  let swap d = { d with sa = d.sb; sb = d.sa } in
   let flavor, sum_ordered =
-    match List.rev out_dims with
+    match List.rev out_copy with
     | [] -> (`Dot, sum_dims)
     | jd :: _ when jd.sc = 1 && jd.sa = 0 && jd.sb <> 0 ->
-      (`Gemm false, kd_reorder sum_dims)
+      (`Gemm false, kd_order ~own:sum_fine ~copy:sum_copy)
     | jd :: _ when jd.sc = 1 && jd.sb = 0 && jd.sa <> 0 ->
-      (`Gemm true, kd_reorder (List.map (fun d -> { d with sa = d.sb; sb = d.sa }) sum_dims))
-    | jd :: _ when jd.sc = 1 -> (`Hadamard jd, sum_dims)
-    | _ -> (`Pinned_inner, sum_dims)
+      ( `Gemm true,
+        kd_order ~own:(List.map swap sum_fine) ~copy:(List.map swap sum_copy) )
+    | _ -> (
+      match List.rev out_dims with
+      | jd :: _ when jd.sc = 1 -> (`Hadamard jd, sum_dims)
+      | _ -> (`Pinned_inner, sum_dims))
   in
   (* Under [`Gemm true] the operands are swapped (a contraction is
      symmetric in A·B) so the innermost output dimension is always on
      the B side; the walk oracle sees the flipped strides too. *)
   let flipped = match flavor with `Gemm true -> true | _ -> false in
   let out_eff =
-    if flipped then List.map (fun d -> { d with sa = d.sb; sb = d.sa }) out_dims
-    else out_dims
+    if flipped then List.map swap out_dims else out_dims
   in
   let da, db, abase, bbase =
     if flipped then (db, da, bbase, abase) else (da, db, abase, bbase)

@@ -20,9 +20,12 @@
     Every flavor adds each cell's products in ascending summation order,
     each multiply and add rounded separately (the C tile is built with
     [-ffp-contract=off]), so results are bit-identical to both the walk
-    (on the same canonicalized dimensions) and earlier releases. All
-    paths perform zero per-element allocation (panels and offset tables
-    are per-domain, grow-only scratch). *)
+    (on the same canonicalized dimensions) and earlier releases. A
+    windowed call chooses its flavor and summation order on the strides
+    its windows' block copies would have, so it is bit-identical to
+    contracting those copies. All paths perform zero per-element
+    allocation (panels and offset tables are per-domain, grow-only
+    scratch). *)
 
 open! Import
 
@@ -30,6 +33,9 @@ val contract_acc :
   ?pin_out:(Index.t * int) list ->
   ?pin_a:(Index.t * int) list ->
   ?pin_b:(Index.t * int) list ->
+  ?win_out:(Index.t * (int * int)) list ->
+  ?win_a:(Index.t * (int * int)) list ->
+  ?win_b:(Index.t * (int * int)) list ->
   into:Dense.t ->
   Dense.t ->
   Dense.t ->
@@ -38,14 +44,22 @@ val contract_acc :
     contraction of [a] and [b] into [into]: for every coordinate of
     [into]'s labels, the product of [a] and [b] summed over their labels
     not appearing in [into]. [into] is mutated in place and must not
-    share storage with [a] or [b].
+    share storage with [a] or [b] in any cell it writes.
 
     The [pin_*] arguments fix labels of the respective tensor at a given
     position: a pinned dimension is excluded from iteration and only
     shifts the tensor's base offset, which lets callers contract into or
-    out of a slab of a larger tensor without slicing copies. Raises
-    [Tce_error.Error] on foreign or out-of-range pins, on extent
-    mismatches, and on output labels absent from both operands. *)
+    out of a slab of a larger tensor without slicing copies. The [win_*]
+    arguments restrict labels to an [(offset, length)] window: a windowed
+    dimension iterates [length] positions from [offset] in place, so a
+    call reads and writes a rectangular sub-block of each tensor as if it
+    were a {!Dense.block} copy, without the copy; cells outside [into]'s
+    window are untouched. A label is pinned or windowed at most once.
+    Raises [Tce_error.Error] on foreign or out-of-range pins and windows,
+    on extent mismatches between shared labels (windowed labels by their
+    window length), and on output labels absent from both operands — the
+    checks {!Einsum.contract2_acc} makes, applied to what the call
+    iterates. *)
 
 (** {2 Probes} *)
 

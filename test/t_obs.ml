@@ -305,8 +305,8 @@ let test_multicore_spans_and_bit_identity () =
   in
   Alcotest.(check (list int)) "multiply spans on every rank" [ 0; 1; 2; 3 ]
     (ranks_of "multiply");
-  Alcotest.(check (list int)) "gather spans on every rank" [ 0; 1; 2; 3 ]
-    (ranks_of "gather");
+  (* Ranks accumulate into the result in place: there is no gather. *)
+  Alcotest.(check (list int)) "no rank gathers" [] (ranks_of "gather");
   Alcotest.(check bool) "recv-wait spans present" true
     (spans "recv-wait" <> []);
   Alcotest.(check bool) "barrier spans present" true (spans "barrier" <> []);

@@ -154,6 +154,82 @@ let pins_block ~seed ~count () =
     done
   done
 
+(* Windows: contracting [(offset, length)] windows of larger tensors in
+   place ([win_a]/[win_b]/[win_out]) must give, bit for bit, what
+   contracting their [Dense.block] copies gives, and what the walk
+   oracle gives on the same windows; every cell outside the output
+   window must keep its bits. Each instance is grown by up to two cells
+   per dimension, with the window at a random offset, and runs in both
+   operand orders; the sweep must reach the GEMM flavor in both orders,
+   Hadamard and Dot. *)
+let windows_block ~seed ~count () =
+  let prng = Prng.create ~seed in
+  let seen = Hashtbl.create 4 in
+  let widen t =
+    let full =
+      List.map (fun (l, e) -> (l, e, Prng.int prng ~bound:3)) (Dense.dims t)
+    in
+    let big =
+      Dense.create (List.map (fun (l, e, extra) -> (l, e + extra)) full)
+    in
+    Dense.fill_random big prng;
+    ( big,
+      List.map
+        (fun (l, e, extra) -> (l, (Prng.int prng ~bound:(extra + 1), e)))
+        full )
+  in
+  Fun.protect
+    ~finally:(fun () -> Kernel.set_walk_oracle false)
+    (fun () ->
+      for case = 1 to count do
+        let a, b, out, extents = random_instance prng in
+        let big_a, win_a = widen a and big_b, win_b = widen b in
+        let big_out, win_out =
+          widen
+            (Dense.create (List.map (fun l -> (l, Hashtbl.find extents l)) out))
+        in
+        List.iter
+          (fun (order, (x, win_x), (y, win_y)) ->
+            let ctx = Printf.sprintf "seed %d case %d %s" seed case order in
+            let windowed () =
+              let into = Dense.copy big_out in
+              Kernel.contract_acc ~win_a:win_x ~win_b:win_y ~win_out ~into x y;
+              into
+            in
+            Kernel.set_walk_oracle false;
+            let packed = windowed () in
+            let path = Kernel.last_path () in
+            Hashtbl.replace seen
+              (match path with
+              | Kernel.Gemm -> Printf.sprintf "GEMM %s" order
+              | Kernel.Hadamard -> "Hadamard"
+              | Kernel.Dot -> "Dot"
+              | Kernel.Walk -> "walk")
+              ();
+            Kernel.set_walk_oracle true;
+            let walked = windowed () in
+            Kernel.set_walk_oracle false;
+            if not (Dense.bits_equal packed walked) then
+              Alcotest.failf "%s: windowed pack path differs from walk" ctx;
+            (* The copies' product, put back at the window's offsets. *)
+            let copied = Dense.copy big_out in
+            let into = Dense.block big_out win_out in
+            Kernel.contract_acc ~into (Dense.block x win_x)
+              (Dense.block y win_y);
+            Dense.set_block copied
+              (List.map (fun (l, (off, _)) -> (l, off)) win_out)
+              into;
+            if not (Dense.bits_equal copied packed) then
+              Alcotest.failf "%s: windows differ from block copies" ctx)
+          [ ("A·B", (big_a, win_a), (big_b, win_b));
+            ("B·A", (big_b, win_b), (big_a, win_a)) ]
+      done;
+      List.iter
+        (fun flavor ->
+          if not (Hashtbl.mem seen flavor) then
+            Alcotest.failf "seed %d: no case took the %s flavor" seed flavor)
+        [ "GEMM A·B"; "GEMM B·A"; "Hadamard"; "Dot" ])
+
 (* The packed flavors must reproduce the generic stride walk's
    accumulation order exactly — not to tolerance, bit-for-bit. Each case
    contracts from the same randomized starting output once through the
@@ -515,6 +591,8 @@ let suite =
           (pins_block ~seed:3002 ~count:20);
         case "pins == slice contraction (seed 3003)"
           (pins_block ~seed:3003 ~count:20);
+        case "windows == block copies and walk, bit-for-bit (seed 3101)"
+          (windows_block ~seed:3101 ~count:60);
         case "pack == walk oracle, bit-for-bit (seed 5001)"
           (pack_vs_walk_block ~seed:5001 ~count:40);
         case "pack == walk oracle, bit-for-bit (seed 5002)"

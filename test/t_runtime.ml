@@ -552,6 +552,31 @@ let test_multicore_plan_frees_intermediates () =
   Alcotest.(check bool) "T2 freed" true (List.mem "T2" !freed);
   Alcotest.(check bool) "final output kept" false (List.mem "S" !freed)
 
+(* Ranks read the caller's tensors in place rather than copying their
+   blocks out, so a run must leave every input as it found it, bit for
+   bit, on square and rectangular grids. *)
+let test_multicore_inputs_untouched () =
+  let problem, seq, tree = ccsd ~scale:`Small in
+  let ext = problem.Problem.extents in
+  let inputs = Sequence.random_inputs ext ~seed:53 seq in
+  let before = List.map (fun (name, t) -> (name, Dense.copy t)) inputs in
+  List.iter
+    (fun (rows, cols) ->
+      let grid = Grid.create_rect_exn ~rows ~cols in
+      let cfg =
+        Search.default_config ~grid ~params
+          ~rcost:(Rcost.of_topology (Topology.uniform params) grid)
+          ()
+      in
+      let plan = get_ok ~ctx:"plan" (Search.optimize cfg ext tree) in
+      ignore (Multicore.run_plan grid ext plan ~inputs : Dense.t);
+      List.iter2
+        (fun (name, t) (_, t0) ->
+          if not (Dense.bits_equal t0 t) then
+            Alcotest.failf "%dx%d: input %s was written" rows cols name)
+        inputs before)
+    [ (1, 2); (2, 2); (2, 3); (3, 3) ]
+
 (* An FNV-style fold of every element's IEEE-754 bits, in storage order:
    two outputs share a digest only if they agree bit for bit (up to
    hash collisions). *)
@@ -640,5 +665,6 @@ let suite =
           test_multicore_plan_frees_intermediates;
         case "plan output bits pinned per grid shape"
           test_multicore_plan_bits_pinned;
+        case "inputs are never written" test_multicore_inputs_untouched;
       ] );
   ]

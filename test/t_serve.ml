@@ -1056,6 +1056,36 @@ let test_search_cancel_raises_then_solves_fresh () =
      fresh one. *)
   Alcotest.(check string) "next solve equals a fresh one" fresh (solve ())
 
+(* A node can price a million candidates (here T2 of the seconds-scale
+   einsum prices 1,062,036), so the token is polled in proportion to the
+   work, not only per node and variant: at least once per 4,096
+   candidates generated over the solve. *)
+let test_cancel_polled_per_candidates () =
+  let ext, tree =
+    Gencorpus.random_einsum ~seed:13 ~tensors:10 ~rank:7 ~lo:6 ~hi:16
+  in
+  let _grid, cfg = search_config 16 in
+  let polls = ref 0 in
+  let sink = Obs.create () in
+  ignore
+    (Obs.with_sink sink (fun () ->
+         Result.get_ok
+           (Search.optimize
+              ~cancel:(fun () ->
+                incr polls;
+                false)
+              cfg ext tree))
+      : Plan.t);
+  let generated =
+    Option.value ~default:0
+      (List.assoc_opt "search.solutions_generated" (Obs.counters sink))
+  in
+  if generated < 1_000_000 then
+    Alcotest.failf "instance too small: %d candidates" generated;
+  if !polls < generated / 4096 then
+    Alcotest.failf "%d polls for %d candidates (want >= %d)" !polls generated
+      (generated / 4096)
+
 (* A deadline cancels one worker's search while another worker searches
    on. Solve after solve whose token fires halfway (after half the polls
    a full solve makes) raises typed on one domain for as long as a solve
@@ -1172,5 +1202,7 @@ let suite =
           test_search_cancel_raises_then_solves_fresh;
         case "halfway cancel leaves a concurrent solve intact"
           test_cancel_leaves_concurrent_solve_intact;
+        case "token polled every 4,096 candidates"
+          test_cancel_polled_per_candidates;
       ] );
   ]

@@ -401,9 +401,44 @@ let test_kernel_pin_errors () =
   (match Kernel.contract_acc ~pin_a:[ (i "z", 0) ] ~into a (Dense.scalar 1.0) with
   | exception Tce_error.Error _ -> ()
   | () -> Alcotest.fail "foreign pin accepted");
-  match Kernel.contract_acc ~pin_a:[ (i "p", 3) ] ~into a (Dense.scalar 1.0) with
+  (match Kernel.contract_acc ~pin_a:[ (i "p", 3) ] ~into a (Dense.scalar 1.0) with
   | exception Tce_error.Error _ -> ()
-  | () -> Alcotest.fail "out-of-range pin accepted"
+  | () -> Alcotest.fail "out-of-range pin accepted");
+  (* Windows fail the same way, and a window's length is the extent the
+     call checks. *)
+  let big = Dense.create [ (i "p", 5) ] in
+  List.iter
+    (fun (what, call) ->
+      match call () with
+      | exception Tce_error.Error _ -> ()
+      | () -> Alcotest.failf "%s accepted" what)
+    [
+      ( "foreign window",
+        fun () ->
+          Kernel.contract_acc ~win_a:[ (i "z", (0, 1)) ] ~into a
+            (Dense.scalar 1.0) );
+      ( "window past the end",
+        fun () ->
+          Kernel.contract_acc ~win_a:[ (i "p", (3, 3)) ] ~into big
+            (Dense.scalar 1.0) );
+      ( "negative window offset",
+        fun () ->
+          Kernel.contract_acc ~win_a:[ (i "p", (-1, 3)) ] ~into big
+            (Dense.scalar 1.0) );
+      ( "empty window",
+        fun () ->
+          Kernel.contract_acc ~win_a:[ (i "p", (0, 0)) ] ~into big
+            (Dense.scalar 1.0) );
+      ( "label pinned and windowed",
+        fun () ->
+          Kernel.contract_acc ~pin_a:[ (i "p", 0) ]
+            ~win_a:[ (i "p", (0, 3)) ] ~into big (Dense.scalar 1.0) );
+      ( "window length against a different extent",
+        fun () ->
+          Kernel.contract_acc ~win_a:[ (i "p", (1, 4)) ] ~into big
+            (Dense.scalar 1.0) );
+    ];
+  Kernel.contract_acc ~win_a:[ (i "p", (2, 3)) ] ~into big (Dense.scalar 1.0)
 
 (* ---------------- Coords ---------------- *)
 
