@@ -453,9 +453,8 @@ let validate () =
   let prog = Result.get_ok (Loopnest.generate tree ~fusions) in
   Format.printf "fused sequential program matches reference: %b@."
     (Dense.equal_approx ~tol:1e-9 reference (Interp.run_exn ext prog ~inputs));
-  (* Distributed fused execution: run plans with their real fusion
-     structure (sliced rotations, reduced per-processor storage) under a
-     memory staircase. *)
+  (* Execution with the plan's fusion (sliced rotations, fusion-reduced
+     intermediates) under a memory staircase, on four domains. *)
   let grid4, _ = config 4 in
   List.iter
     (fun limit ->
@@ -470,12 +469,13 @@ let validate () =
           (match limit with None -> "none" | Some b -> Format.asprintf "%.0f B" b)
           msg
       | Ok plan ->
-        let st = Fusedexec.run_plan grid ext plan ~inputs in
+        let st = Multicore.run_plan_stats grid ext plan ~inputs in
         Format.printf
-          "fused-exec (limit %s): matches=%b, sliced rotations=%d, peak=%d words/proc@."
+          "fused-exec (limit %s): matches=%b, sliced rotations=%d, per-rank \
+           peak=%d words@."
           (match limit with None -> "none" | Some b -> Format.asprintf "%.0f B" b)
-          (Dense.equal_approx ~tol:1e-9 reference st.Fusedexec.result)
-          st.Fusedexec.sliced_rotations st.Fusedexec.peak_words_per_proc)
+          (Dense.equal_approx ~tol:1e-9 reference st.Multicore.result)
+          st.Multicore.sliced_rotations st.Multicore.peak_words_per_proc)
     [ None; Some 150_000.0; Some 120_000.0 ]
 
 (* ------------------------------------------------------------------ *)

@@ -54,6 +54,6 @@ let () =
   let seq = Result.get_ok (Tree.to_sequence tree) in
   let inputs = Sequence.random_inputs small ~seed:12321 seq in
   let reference = Sequence.eval small ~inputs seq in
-  let got = (Fusedexec.run_plan grid small plan ~inputs).Fusedexec.result in
-  Format.printf "fused distributed execution matches reference: %b@."
+  let got = Multicore.run_plan grid small plan ~inputs in
+  Format.printf "execution on 4 domains matches reference: %b@."
     (Dense.equal_approx ~tol:1e-9 reference got)

@@ -4,7 +4,8 @@
     every processor [(z1, z2)], which block of each array the processor
     holds, and which arrays move between one step and the next. It is the
     one description of Cannon placement: [Multicore] executes it on
-    domains, [Fusedexec] and [Simulate] read it on square grids.
+    domains, fused plans included, and [Simulate] reads it on square
+    grids.
 
     Block [(b1, b2)] of a role means: the slab owning chunk [b1] of the
     index at position 1 of the role's distribution and chunk [b2] of the

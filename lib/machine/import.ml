@@ -1,15 +1,11 @@
 (* Aliases for lower-layer libraries; opened by every module in this
    library. *)
-module Ints = Tce_util.Ints
 module Listx = Tce_util.Listx
 module Units = Tce_util.Units
 module Prng = Tce_util.Prng
 module Tce_error = Tce_util.Tce_error
 module Index = Tce_index.Index
 module Extents = Tce_index.Extents
-module Dense = Tce_tensor.Dense
-module Kernel = Tce_tensor.Kernel
-module Einsum = Tce_tensor.Einsum
 module Aref = Tce_expr.Aref
 module Tree = Tce_expr.Tree
 module Grid = Tce_grid.Grid

@@ -14,5 +14,6 @@ module Dist = Tce_grid.Dist
 module Contraction = Tce_cannon.Contraction
 module Variant = Tce_cannon.Variant
 module Schedule = Tce_cannon.Schedule
+module Eqs = Tce_memmodel.Eqs
 module Plan = Tce_core.Plan
 module Obs = Tce_obs.Obs

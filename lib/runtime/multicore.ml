@@ -1,5 +1,11 @@
 open! Import
 
+type stats = {
+  result : Dense.t;
+  peak_words_per_proc : int;
+  sliced_rotations : int;
+}
+
 let check_extents grid ext variant =
   List.iter
     (fun role ->
@@ -25,6 +31,12 @@ let check_pool grid = function
       "Multicore: pool of %d domains cannot run a grid of %d processors"
       (Spmd.Pool.procs pool) (Grid.procs grid)
   | _ -> ()
+
+(* The caller's team, or one made for the call. *)
+let with_team ?pool grid f =
+  match pool with
+  | Some pool -> f pool
+  | None -> Spmd.with_pool ~procs:(Grid.procs grid) f
 
 (* A block a rank holds: a window, per label [(offset, length)], of one
    of the call's tensors — an operand, or the result it accumulates
@@ -53,32 +65,17 @@ let windows_disjoint windows =
   done;
   !ok
 
-(* Generalized Cannon on domains (DESIGN.md §17), one body for every
-   grid shape: [Schedule] says which block each rank holds at step 0,
-   which roles it exchanges after each step and the ω window it
-   multiplies over; this function only moves windows and multiplies.
-   Each step multiplies over the window, so every logical contribution
-   is computed exactly once; when a rotated output block's ω range
-   strictly contains the window, the product lands in a temporary and
-   accumulates at the window's offset. Steps are serialized: multiply,
-   then exchange. *)
-let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
+(* A variant's schedule, checked once per contraction however many
+   fused iterations then run it. *)
+let prepare grid ext variant =
   check_extents grid ext variant;
-  check_pool grid pool;
-  if Obs.enabled () then begin
-    Obs.count "multicore.contractions";
+  if Obs.enabled () then
     for r = 0 to Grid.procs grid - 1 do
       Obs.set_thread_name ~pid:Obs.wall_pid ~tid:r
         (Printf.sprintf "rank %d" r)
-    done
-  end;
+    done;
   let sched = Schedule.make variant grid in
-  let steps = Schedule.steps sched in
-  let omega = Variant.rot_index variant in
   let out_dims = Aref.indices (Variant.aref_of variant Variant.Out) in
-  let result =
-    Dense.create (List.map (fun i -> (i, Extents.extent ext i)) out_dims)
-  in
   assert (
     List.for_all
       (fun step ->
@@ -87,18 +84,46 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
                let z1, z2 = Grid.coord_of grid r in
                Schedule.block_ranges sched ext Variant.Out ~dims:out_dims ~step
                  ~z1 ~z2)))
-      (List.init steps Fun.id));
+      (List.init (Schedule.steps sched) Fun.id));
+  sched
+
+(* Generalized Cannon on domains (DESIGN.md §17), one body for every
+   grid shape: [Schedule] says which block each rank holds at step 0,
+   which roles it exchanges after each step and the ω window it
+   multiplies over; this function only moves windows and multiplies.
+   Each step multiplies over the window, so every logical contribution
+   is computed exactly once; when a rotated output block's ω range
+   strictly contains the window, the product lands in a temporary and
+   accumulates at the window's offset. Steps are serialized: multiply,
+   then exchange. Labels that [assign] binds — the values of the
+   enclosing fused loops, never distributed — are pinned in every tensor
+   that carries them, so one pass reads and writes one slab of each. *)
+let cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left ~right
+    ~into =
+  if Obs.enabled () then Obs.count "multicore.contractions";
+  let steps = Schedule.steps sched in
+  let omega = Variant.rot_index variant in
+  let pins t =
+    List.filter_map
+      (fun l -> Option.map (fun v -> (l, v)) (Index.Map.find_opt l assign))
+      (Dense.labels t)
+  in
+  let pin_a = pins left and pin_b = pins right and pin_out = pins into in
   let worker ctx =
     let my = Spmd.rank ctx in
     let z1, z2 = Grid.coord_of grid my in
     let home role tensor =
-      let dims = Dense.labels tensor in
+      let dims =
+        List.filter
+          (fun l -> not (Index.Map.mem l assign))
+          (Dense.labels tensor)
+      in
       let win = Schedule.block_ranges sched ext role ~dims ~step:0 ~z1 ~z2 in
       ref { tensor; win }
     in
     let my_left = home Variant.Left left in
     let my_right = home Variant.Right right in
-    let my_out = home Variant.Out result in
+    let my_out = home Variant.Out into in
     let cell_of role =
       match role with
       | Variant.Left -> my_left
@@ -122,16 +147,18 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
                 if Index.equal i omega then (i, (o + lo - off, len)) else w)
               win
         in
-        let contract ?win_out into =
-          Kernel.contract_acc ?win_out ~win_a:(narrow Variant.Left)
-            ~win_b:(narrow Variant.Right) ~into !my_left.tensor
-            !my_right.tensor
+        let contract ?pin_out ?win_out into =
+          Kernel.contract_acc ?pin_out ~pin_a ~pin_b ?win_out
+            ~win_a:(narrow Variant.Left) ~win_b:(narrow Variant.Right) ~into
+            !my_left.tensor !my_right.tensor
         in
         let out = !my_out and win_out = narrow Variant.Out in
-        if win_out = out.win then contract ~win_out out.tensor
+        if win_out = out.win then contract ~pin_out ~win_out out.tensor
         else begin
           (* The held ω range strictly contains the window: sum into a
-             temporary, then add it at the window's offsets. *)
+             temporary, then add it at the window's offsets. The output
+             rotates, so every fused loop is fused away from it and
+             nothing of it is pinned. *)
           let tmp =
             Dense.create (List.map (fun (i, (_, n)) -> (i, n)) win_out)
           in
@@ -163,89 +190,266 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
     done;
     Spmd.barrier ctx
   in
-  let (_ : unit array) =
-    match pool with
-    | Some pool -> Spmd.Pool.run pool worker
-    | None -> Spmd.run ~procs:(Grid.procs grid) worker
-  in
-  result
+  let (_ : unit array) = Spmd.Pool.run pool worker in
+  ()
 
-let run_plan ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t) ~inputs =
+let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
   check_pool grid pool;
-  if plan.steps = [] then Tce_error.failf "Multicore.run_plan: plan has no steps";
-  let env = Hashtbl.create 16 in
-  List.iter (fun (name, t) -> Hashtbl.replace env name t) inputs;
-  let final_name =
-    let last = List.nth plan.steps (List.length plan.steps - 1) in
-    Aref.name last.Plan.contraction.Contraction.out
+  let sched = prepare grid ext variant in
+  let into =
+    Dense.create
+      (List.map
+         (fun i -> (i, Extents.extent ext i))
+         (Aref.indices (Variant.aref_of variant Variant.Out)))
   in
-  (* Liveness: the step index after which each tensor is dead. Executing a
-     memory-constrained plan while holding every intermediate until the
-     end would betray the [MemLimit] discipline the search enforced, so
-     env entries are dropped after their last consumption (the caller
-     keeps its own references to inputs; intermediates become garbage). *)
-  let dying = Array.make (List.length plan.steps) [] in
-  let last_use = Hashtbl.create 16 in
-  List.iteri
-    (fun k (step : Plan.step) ->
-      Hashtbl.replace last_use (Aref.name step.contraction.Contraction.left) k;
-      Hashtbl.replace last_use (Aref.name step.contraction.Contraction.right) k)
-    plan.steps;
-  Hashtbl.iter
-    (fun name k ->
-      if not (String.equal name final_name) then dying.(k) <- name :: dying.(k))
-    last_use;
-  let free name =
-    if Hashtbl.mem env name then begin
-      Hashtbl.remove env name;
-      if Obs.enabled () then Obs.instant ~cat:"memory" ("free:" ^ name);
-      Option.iter (fun f -> f name) on_free
-    end
+  with_team ?pool grid (fun pool ->
+      cannon ~pool ?recv_timeout_s grid ext variant sched
+        ~assign:Index.Map.empty ~left ~right ~into);
+  into
+
+(* ---------------- Plans ---------------- *)
+
+let fused_of (step : Plan.step) = function
+  | Variant.Out -> step.fusion_out
+  | Variant.Left -> step.fusion_left
+  | Variant.Right -> step.fusion_right
+
+(* The words of each rank's home window (block (z1, z2) on rank
+   (z1, z2)) of [aref] in distribution [alpha]. *)
+let home_words grid ext alpha aref =
+  Array.init (Grid.procs grid) (fun r ->
+      List.fold_left
+        (fun words (_, (_, len)) -> words * len)
+        1
+        (Dist.local_dims grid ext alpha ~coord:(Grid.coord_of grid r) aref))
+
+(* Every assignment of [indices] (outermost first) on top of [base]. *)
+let iter_assignments ext indices ~base f =
+  let rec go assigned = function
+    | [] -> f assigned
+    | ix :: rest ->
+      for v = 0 to Extents.extent ext ix - 1 do
+        go (Index.Map.add ix v assigned) rest
+      done
   in
-  (* Local pre-summations (no communication) before any contraction. *)
+  go base indices
+
+(* The plan's fusion, executed (DESIGN.md §10). A step iterates only
+   its forcing fused loops — the parent-edge fusion and the fusion of
+   its stored operands (intermediates, or presummed inputs kept
+   reduced) — the search's own rule, under which a leaf's fusion only
+   streams that leaf's communication. Each iteration is one pass of the
+   step's schedule with the loop values pinned, and counts the slices
+   its rotated arrays are charged for outside those loops. A stored
+   value is computed on demand, one fusion slice at a time, and kept
+   until a different slice is asked for or its consumer is done with
+   it. A step's output exists before its operands are computed, as it
+   must when fused loops accumulate into it. *)
+let run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t)
+    ~inputs =
+  check_pool grid pool;
+  let root =
+    match List.rev plan.steps with
+    | last :: _ -> last
+    | [] -> Tce_error.failf "Multicore.run_plan: plan has no steps"
+  in
+  let producer = Hashtbl.create 8 and presum = Hashtbl.create 4 in
   List.iter
-    (fun (ps : Plan.presum) ->
-      match Hashtbl.find_opt env (Aref.name ps.source) with
-      | None ->
-        Tce_error.raise_err
-          (Tce_error.Missing_tensor
-             { where = "Multicore.run_plan"; name = Aref.name ps.source })
-      | Some src ->
-        Hashtbl.replace env (Aref.name ps.out) (Einsum.sum_over src ps.sum))
+    (fun (s : Plan.step) ->
+      Hashtbl.replace producer (Aref.name s.contraction.Contraction.out) s)
+    plan.steps;
+  List.iter
+    (fun (ps : Plan.presum) -> Hashtbl.replace presum (Aref.name ps.out) ps)
     plan.presums;
-  let lookup aref =
-    match Hashtbl.find_opt env (Aref.name aref) with
+  let array_name (step : Plan.step) role =
+    Aref.name (Variant.aref_of step.variant role)
+  in
+  let stored step role =
+    let name = array_name step role in
+    Hashtbl.mem producer name || Hashtbl.mem presum name
+  in
+  let operands = [ Variant.Left; Variant.Right ] in
+  let forcing (step : Plan.step) =
+    List.fold_left
+      (fun acc role ->
+        if stored step role then Index.Set.union acc (fused_of step role)
+        else acc)
+      step.fusion_out operands
+  in
+  (* The search's rules, which execution relies on: a forcing loop pins
+     its index in every array that carries it, where no grid axis may
+     also chunk it, and slices every rotated array, whose slices are what
+     the model charges; no array is fused on an index its own
+     distribution splits. *)
+  List.iter
+    (fun (step : Plan.step) ->
+      let f = forcing step in
+      List.iter
+        (fun role ->
+          let name = array_name step role and fused = fused_of step role in
+          Index.Set.iter
+            (fun t ->
+              if Dist.distributes (Variant.dist_of step.variant role) t then
+                Tce_error.failf
+                  "Multicore: fused index %s is distributed in %s's role — \
+                   not executable"
+                  (Index.name t) name)
+            (Index.Set.union f fused);
+          if Variant.rotates step.variant role && not (Index.Set.subset f fused)
+          then
+            Tce_error.failf
+              "Multicore: a fused loop around %s does not slice the rotated \
+               %s — not executable"
+              (Aref.name step.contraction.Contraction.out) name)
+        [ Variant.Out; Variant.Left; Variant.Right ])
+    plan.steps;
+  let input name =
+    match List.assoc_opt name inputs with
     | Some t -> t
     | None ->
       Tce_error.raise_err
-        (Tce_error.Missing_tensor
-           { where = "Multicore.run_plan"; name = Aref.name aref })
+        (Tce_error.Missing_tensor { where = "Multicore.run_plan"; name })
   in
+  (* Residency: every rank's words of the live arrays' home windows. *)
+  let live = Array.make (Grid.procs grid) 0 and peak = ref 0 in
+  let account sign words =
+    Array.iteri (fun r w -> live.(r) <- live.(r) + (sign * w)) words;
+    peak := Array.fold_left max !peak live
+  in
+  (* Inputs are resident throughout, each under the distribution of the
+     role consuming it (a presum's source under the presum's); a missing
+     one fails before any step runs. *)
+  let resident aref alpha =
+    ignore (input (Aref.name aref) : Dense.t);
+    account 1 (home_words grid ext alpha aref)
+  in
+  List.iter
+    (fun (step : Plan.step) ->
+      List.iter
+        (fun role ->
+          if not (stored step role) then
+            resident
+              (Variant.aref_of step.variant role)
+              (Variant.dist_of step.variant role))
+        operands)
+    plan.steps;
+  List.iter (fun (ps : Plan.presum) -> resident ps.source ps.dist) plan.presums;
+  let held = Hashtbl.create 8 in
+  let release name =
+    Option.iter
+      (fun (_, _, words) ->
+        Hashtbl.remove held name;
+        account (-1) words)
+      (Hashtbl.find_opt held name)
+  in
+  let hold name sigma t words =
+    release name;
+    Hashtbl.replace held name (sigma, t, words);
+    account 1 words
+  in
+  (* Dropping a value drops what was kept to recompute it. *)
+  let rec drop name =
+    if Hashtbl.mem held name then begin
+      release name;
+      if Obs.enabled () then Obs.instant ~cat:"memory" ("free:" ^ name);
+      Option.iter (fun f -> f name) on_free;
+      Option.iter
+        (fun step ->
+          List.iter (fun role -> drop (array_name step role)) operands)
+        (Hashtbl.find_opt producer name)
+    end
+  in
+  let rotations = ref 0 in
+  let rows = Grid.rows grid and cols = Grid.cols grid in
   let execute pool =
-    let last = ref None in
-    List.iteri
-      (fun k (step : Plan.step) ->
-        let contract () =
-          run_contraction ~pool ?recv_timeout_s grid ext step.variant
-            ~left:(lookup step.contraction.Contraction.left)
-            ~right:(lookup step.contraction.Contraction.right)
-        in
-        let out =
+    let rec value name sigma =
+      match Hashtbl.find_opt held name with
+      | Some (s, t, _) when Index.Map.equal Int.equal s sigma -> t
+      | _ -> (
+        match Hashtbl.find_opt producer name with
+        | Some step -> produce step sigma
+        | None ->
+          let ps : Plan.presum = Hashtbl.find presum name in
+          let src =
+            Index.Map.fold
+              (fun i v t -> Dense.slice t i v)
+              sigma
+              (input (Aref.name ps.source))
+          in
+          let t = Einsum.sum_over src ps.sum in
+          hold name sigma t
+            (home_words grid ext ps.dist (Aref.v name (Dense.labels t)));
+          t)
+    and produce (step : Plan.step) sigma =
+      let variant = step.variant in
+      let out = step.contraction.Contraction.out in
+      let dims =
+        List.filter
+          (fun i -> not (Index.Set.mem i step.fusion_out))
+          (Aref.indices out)
+      in
+      let into =
+        Dense.create (List.map (fun i -> (i, Extents.extent ext i)) dims)
+      in
+      hold (Aref.name out) sigma into
+        (home_words grid ext
+           (Variant.dist_of variant Variant.Out)
+           (Aref.v (Aref.name out) dims));
+      let children = List.filter (stored step) operands in
+      let forcing = forcing step in
+      (* The loops this step adds to those its parent fixes. Their order
+         does not matter: when the output rotates it is fused on every
+         forcing loop, so there are none; otherwise both operands rotate,
+         and each stored one is fused on all of them. *)
+      let loops =
+        Index.Set.elements (Index.Set.diff forcing step.fusion_out)
+      in
+      let slices =
+        List.fold_left
+          (fun n (role, _) ->
+            n
+            + Eqs.msg_factor_rect ext ~rows ~cols
+                ~alpha:(Variant.dist_of variant role)
+                ~fused:(Index.Set.diff (fused_of step role) forcing)
+                ~dims:(Aref.indices (Variant.aref_of variant role)))
+          0 (Variant.rotated variant)
+      in
+      let sched = prepare grid ext variant in
+      iter_assignments ext loops ~base:sigma (fun assign ->
+          let operand role =
+            let name = array_name step role in
+            if List.mem role children then
+              value name
+                (Index.Map.filter
+                   (fun i _ -> Index.Set.mem i (fused_of step role))
+                   assign)
+            else input name
+          in
+          let left = operand Variant.Left in
+          let right = operand Variant.Right in
+          let pass () =
+            cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left
+              ~right ~into
+          in
           if Obs.enabled () then
-            Obs.span ~cat:"plan"
-              ("contraction:" ^ Aref.name step.contraction.Contraction.out)
-              contract
-          else contract ()
-        in
-        Hashtbl.replace env (Aref.name step.contraction.Contraction.out) out;
-        List.iter free dying.(k);
-        last := Some out)
-      plan.steps;
-    Option.get !last
+            Obs.span ~cat:"plan" ("contraction:" ^ Aref.name out) pass
+          else pass ();
+          rotations := !rotations + slices);
+      (* An operand sliced only on loops that this step's own parent
+         fixes may serve the step's next evaluation too. *)
+      List.iter
+        (fun role ->
+          if
+            Index.Set.is_empty step.fusion_out
+            || not (Index.Set.subset (fused_of step role) step.fusion_out)
+          then drop (array_name step role))
+        children;
+      into
+    in
+    produce root Index.Map.empty
   in
-  match pool with
-  | Some pool -> execute pool
-  | None ->
-    (* One persistent team serves every step: spawn/join is paid once per
-       plan, not once per contraction. *)
-    Spmd.with_pool ~procs:(Grid.procs grid) execute
+  let result = with_team ?pool grid execute in
+  { result; peak_words_per_proc = !peak; sliced_rotations = !rotations }
+
+let run_plan ?pool ?recv_timeout_s ?on_free grid ext plan ~inputs =
+  (run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext plan ~inputs).result

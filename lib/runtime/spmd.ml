@@ -203,7 +203,7 @@ let reset_shared shared =
   Atomic.set shared.abort None
 
 (* Run [f] as participant [r], translating its fate: a normal return
-   stores nothing here (the caller's wrapper does), a primary failure
+   stores nothing here (the program's wrapper does), a primary failure
    poisons the team, a secondary [Spmd_aborted] (unblocked by another
    rank's poison) is absorbed — the originator is already recorded. *)
 let participate shared r f =
@@ -211,32 +211,6 @@ let participate shared r f =
   | () -> ()
   | exception Spmd_aborted _ -> ()
   | exception e -> poison shared ~rank:r ~exn:e
-
-let collect_results shared results =
-  (match Atomic.get shared.abort with
-  | Some (rank, exn) -> raise (Spmd_aborted { rank; exn })
-  | None -> ());
-  Array.map
-    (function
-      | Some v -> v
-      | None ->
-        Tce_error.failf "Spmd: participant produced no result")
-    results
-
-let run ~procs f =
-  if procs <= 0 then
-    Tce_error.failf "Spmd.run: procs must be positive (got %d)" procs;
-  let shared = make_shared procs in
-  let results = Array.make procs None in
-  let participant r () =
-    participate shared r (fun ctx -> results.(r) <- Some (f ctx))
-  in
-  let domains =
-    List.init (procs - 1) (fun k -> Domain.spawn (participant (k + 1)))
-  in
-  participant 0 ();
-  List.iter Domain.join domains;
-  collect_results shared results
 
 module Pool = struct
   (* A worker parks on its slot waiting for the next team program; the
@@ -370,7 +344,13 @@ module Pool = struct
         reset_shared pool.shared;
         match verdict with
         | Some (rank, exn) -> raise (Spmd_aborted { rank; exn })
-        | None -> collect_results pool.shared results)
+        | None ->
+          Array.map
+            (function
+              | Some v -> v
+              | None ->
+                Tce_error.failf "Spmd: participant produced no result")
+            results)
 
   let close pool =
     if not pool.closed then begin
@@ -385,3 +365,5 @@ end
 let with_pool ~procs f =
   let pool = Pool.create ~procs in
   Fun.protect ~finally:(fun () -> Pool.close pool) (fun () -> f pool)
+
+let run ~procs f = with_pool ~procs (fun pool -> Pool.run pool f)

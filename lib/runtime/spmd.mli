@@ -21,11 +21,12 @@
 
     {2 Pooled teams}
 
-    {!run} pays a [Domain.spawn]/[join] per participant per call — fine
-    for one contraction, wasteful for a multi-step plan or a serving loop
-    executing plans back to back. {!Pool} spawns the domains once;
-    successive {!Pool.run} calls replay team programs against the same
-    mailboxes and barrier. The crash-safety contract carries over: a
+    Every team is a {!Pool}: it spawns its domains once, and successive
+    {!Pool.run} calls replay team programs against the same mailboxes
+    and barrier. {!run} is a pool made for one program, so it pays a
+    [Domain.spawn]/[join] per participant per call — fine for one
+    contraction, wasteful for a multi-step plan or a serving loop
+    executing plans back to back. The crash-safety contract carries over: a
     poisoned program still unwinds every rank and raises {!Spmd_aborted},
     after which the pool has torn the dead team's state down (mailboxes
     drained, barrier rewound, poison cleared) and is ready for the next
@@ -66,14 +67,6 @@ val sendrecv : ?timeout_s:float -> 'msg ctx -> dst:int -> 'msg -> src:int -> 'ms
 (** Send then receive; safe against the cyclic-shift deadlock because
     sends never block. *)
 
-val run : procs:int -> ('msg ctx -> 'a) -> 'a array
-(** Run [procs] participants to completion (rank 0 executes on the calling
-    domain) and collect their results by rank. [procs] must be positive
-    ([Tce_error.Error] otherwise). If any participant raises, every domain
-    is unblocked and joined and {!Spmd_aborted} is raised — the run
-    terminates in bounded time instead of deadlocking at the next barrier
-    or receive. Spawns [procs - 1] domains per call; use {!Pool} to
-    amortize that over many runs. *)
 
 (** A persistent team: domains spawned once, team programs replayed
     against reusable mailboxes and barriers. *)
@@ -87,8 +80,9 @@ module Pool : sig
   val procs : _ t -> int
 
   val run : 'msg t -> ('msg ctx -> 'a) -> 'a array
-  (** Execute one team program on the pooled domains, exactly as {!val:run}
-      would: results by rank, {!Spmd_aborted} if any rank raises. After
+  (** Execute one team program on the pooled domains: results by rank,
+      {!Spmd_aborted} if any rank raises, after every rank has unwound
+      (peers parked in a barrier or receive are woken). After
       an abort the pool remains usable — the dead team's mailboxes,
       barrier and poison flag are reset before raising, so the next
       {!run} starts on a fresh team. Raises [Tce_error.Error] if the
@@ -103,3 +97,13 @@ end
 val with_pool : procs:int -> ('msg Pool.t -> 'a) -> 'a
 (** [with_pool ~procs f] runs [f] with a fresh pool, closing it on the
     way out (also on exceptions). *)
+
+val run : procs:int -> ('msg ctx -> 'a) -> 'a array
+(** Run [procs] participants to completion (rank 0 executes on the calling
+    domain) and collect their results by rank: [with_pool ~procs] running
+    one {!Pool.run}. [procs] must be positive ([Tce_error.Error]
+    otherwise). If any participant raises, every domain is unblocked and
+    joined and {!Spmd_aborted} is raised — the run terminates in bounded
+    time instead of deadlocking at the next barrier or receive. Spawns
+    [procs - 1] domains per call; use {!Pool} to amortize that over many
+    runs. *)

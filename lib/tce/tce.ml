@@ -34,9 +34,9 @@
     {2 Execution and reporting}
     {!Loopnest}, {!Interp} — fused-code generation and interpretation;
     {!Cluster}, {!Simulate} — the discrete-event cluster simulator;
-    {!Fusedexec} — distributed execution with the plan's fusion
-    structure; {!Spmd}, {!Multicore} — real parallel execution on OCaml 5
-    domains, the executor of unfused plans; {!Table}, {!Paperref}, {!Exptables} — experiment reports.
+    {!Spmd}, {!Multicore} — real parallel execution on OCaml 5 domains,
+    the one executor of plans, fused or not; {!Table}, {!Paperref},
+    {!Exptables} — experiment reports.
 
     {2 Observability}
     {!Obs} — structured tracing and metrics: wall-clock and
@@ -100,7 +100,6 @@ module Interp = Tce_codegen.Interp
 module Fault = Tce_machine.Fault
 module Cluster = Tce_machine.Cluster
 module Simulate = Tce_machine.Simulate
-module Fusedexec = Tce_machine.Fusedexec
 module Spmd = Tce_runtime.Spmd
 module Multicore = Tce_runtime.Multicore
 module Json = Tce_server.Json

@@ -61,6 +61,28 @@ let baseline mode cfg ext tree =
   let fusion_mode, objective = Baselines.of_mode mode in
   plan_tree ~objective { cfg with Search.fusion_mode } ext tree
 
+(* What the model charges for a plan's rotations: the sum of its
+   message factors over every step's rotated roles. *)
+let msg_factors grid ext (plan : Plan.t) =
+  List.fold_left
+    (fun acc (s : Plan.step) ->
+      List.fold_left
+        (fun acc (role, _) ->
+          let fused =
+            match role with
+            | Variant.Out -> s.fusion_out
+            | Variant.Left -> s.fusion_left
+            | Variant.Right -> s.fusion_right
+          in
+          acc
+          + Eqs.msg_factor_rect ext ~rows:(Grid.rows grid)
+              ~cols:(Grid.cols grid)
+              ~alpha:(Variant.dist_of s.variant role)
+              ~fused
+              ~dims:(Aref.indices (Variant.aref_of s.variant role)))
+        acc s.rotations)
+    0 plan.Plan.steps
+
 let get_ok ~ctx = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "%s: unexpected error: %s" ctx msg

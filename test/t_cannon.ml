@@ -276,8 +276,8 @@ let test_schedule_covers_block_products () =
         Alcotest.failf "%s: element products not covered once under %s"
           (grid_name grid) (Format.asprintf "%a" Variant.pp v))
 
-(* A square grid is the m = 1 case, and [Fusedexec] and [Simulate] rely
-   on its closed form: [side] steps, the fixed role at home, each rotated
+(* A square grid is the m = 1 case, and [Simulate] relies on its
+   closed form: [side] steps, the fixed role at home, each rotated
    role holding ω chunk [(z1 + z2 + t) mod side] along its axis, and both
    rotated roles moving after every step but the last. *)
 let test_schedule_square_skew () =

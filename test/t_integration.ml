@@ -122,8 +122,9 @@ let test_parse_file () =
 
 (* Randomized end-to-end property: random chain-shaped problems (random
    extents, optional spectator index, optional pre-summed auxiliary index),
-   random memory limits — every feasible plan must execute to the reference
-   values, both unfused and with its fusion structure. *)
+   random memory limits — every feasible plan must execute, with its
+   fusion structure, to the reference values and with the sliced
+   rotations the model charges. *)
 let test_random_chains_execute () =
   let rng = Prng.create ~seed:24680 in
   let executed = ref 0 in
@@ -155,12 +156,12 @@ S[p0,p3,q]  = sum[p2] T1[p0,p2,q] * M3[p2,p3]
       let seq = get_ok ~ctx:"seq" (Tree.to_sequence tree) in
       let inputs = Sequence.random_inputs ext ~seed:(7 * !executed) seq in
       let reference = Sequence.eval ext ~inputs seq in
-      let unfused = Multicore.run_plan grid ext plan ~inputs in
-      if not (Dense.equal_approx ~tol:1e-9 reference unfused) then
-        Alcotest.failf "unfused execution wrong for:%s" text;
-      let fused = (Fusedexec.run_plan grid ext plan ~inputs).Fusedexec.result in
-      if not (Dense.equal_approx ~tol:1e-9 reference fused) then
-        Alcotest.failf "fused execution wrong for:%s" text;
+      let st = Multicore.run_plan_stats grid ext plan ~inputs in
+      if not (Dense.equal_approx ~tol:1e-9 reference st.Multicore.result) then
+        Alcotest.failf "execution wrong for:%s" text;
+      if st.Multicore.sliced_rotations <> msg_factors grid ext plan then
+        Alcotest.failf "%d sliced rotations, the model charges %d, for:%s"
+          st.Multicore.sliced_rotations (msg_factors grid ext plan) text;
       let t = simulate params ext plan in
       check_close ~ctx:"replay" ~rel:1e-6 (Plan.comm_cost plan)
         t.Simulate.comm_seconds

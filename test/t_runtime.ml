@@ -619,6 +619,183 @@ let test_multicore_plan_bits_pinned () =
     ]
     (List.map digest [ (2, 2); (3, 3); (1, 2); (2, 3) ])
 
+(* ---------------- Plans with their fusion ---------------- *)
+
+(* CCSD (small by default) planned for an R x C grid under an optional
+   limit. *)
+let ccsd_plan ?(scale = `Small) ?mem_limit_bytes (rows, cols) =
+  let problem, seq, tree = ccsd ~scale in
+  let ext = problem.Problem.extents in
+  let grid = Grid.create_rect_exn ~rows ~cols in
+  let cfg =
+    Search.default_config ?mem_limit_bytes ~grid ~params
+      ~rcost:(Rcost.of_topology (Topology.uniform params) grid)
+      ()
+  in
+  (grid, ext, seq, get_ok ~ctx:"plan" (Search.optimize cfg ext tree))
+
+let budget (plan : Plan.t) =
+  plan.Plan.mem.Memacct.resident_words + plan.Plan.mem.Memacct.buffer_words
+
+let test_unfused_plan () =
+  let grid, ext, seq, plan = ccsd_plan (2, 2) in
+  let inputs = Sequence.random_inputs ext ~seed:41 seq in
+  let reference = Sequence.eval ext ~inputs seq in
+  let st = Multicore.run_plan_stats grid ext plan ~inputs in
+  Alcotest.(check bool) "values" true
+    (Dense.equal_approx ~tol:1e-9 reference st.Multicore.result);
+  (* Unfused: each of the three steps rotates two arrays exactly once. *)
+  Alcotest.(check int) "rotations" 6 st.Multicore.sliced_rotations
+
+let test_fused_plan_reduces_memory () =
+  let grid, ext, seq, unfused = ccsd_plan (2, 2) in
+  let _, _, _, fused = ccsd_plan ~mem_limit_bytes:130_000.0 (2, 2) in
+  Alcotest.(check bool) "plan really fuses" true
+    (List.exists
+       (fun (s : Plan.step) -> not (Index.Set.is_empty s.fusion_out))
+       fused.Plan.steps);
+  let inputs = Sequence.random_inputs ext ~seed:42 seq in
+  let reference = Sequence.eval ext ~inputs seq in
+  let st_unfused = Multicore.run_plan_stats grid ext unfused ~inputs in
+  let st_fused = Multicore.run_plan_stats grid ext fused ~inputs in
+  Alcotest.(check bool) "fused values" true
+    (Dense.equal_approx ~tol:1e-9 reference st_fused.Multicore.result);
+  Alcotest.(check bool) "measured memory shrinks" true
+    (st_fused.Multicore.peak_words_per_proc
+    < st_unfused.Multicore.peak_words_per_proc);
+  Alcotest.(check bool) "more, smaller rotations" true
+    (st_fused.Multicore.sliced_rotations
+    > st_unfused.Multicore.sliced_rotations)
+
+let test_rotation_count_matches_msg_factors () =
+  let grid, ext, seq, plan = ccsd_plan ~mem_limit_bytes:130_000.0 (2, 2) in
+  let inputs = Sequence.random_inputs ext ~seed:43 seq in
+  let st = Multicore.run_plan_stats grid ext plan ~inputs in
+  Alcotest.(check int) "rotations = sum of MsgFactors"
+    (msg_factors grid ext plan) st.Multicore.sliced_rotations
+
+let test_peak_within_plan_accounting () =
+  let grid, ext, seq, plan = ccsd_plan ~mem_limit_bytes:130_000.0 (2, 2) in
+  let inputs = Sequence.random_inputs ext ~seed:44 seq in
+  let st = Multicore.run_plan_stats grid ext plan ~inputs in
+  (* The optimizer keeps every array resident; the executor drops
+     consumed slices, so no rank's measured peak may exceed the plan's
+     account. *)
+  Alcotest.(check bool) "peak within accounting" true
+    (st.Multicore.peak_words_per_proc <= budget plan)
+
+let test_missing_input () =
+  let grid, ext, seq, plan = ccsd_plan (2, 2) in
+  let inputs = List.tl (Sequence.random_inputs ext ~seed:45 seq) in
+  match Multicore.run_plan_stats grid ext plan ~inputs with
+  | exception Tce_error.Error (Tce_error.Missing_tensor _) -> ()
+  | _ -> Alcotest.fail "missing input accepted"
+
+(* The fused example's table on 2x2 (EXPERIMENTS.md): per limit, the
+   sliced rotations and the largest rank's peak words. At 200,000 bytes
+   only a leaf edge is fused, D's on {l}: that streams D in six slices
+   and adds no loop, so B still rotates once, 11 rotations in all as the
+   model charges (a loop over l would rotate B six times: 16). The peak
+   is a maximum over ranks, not an average: on 3x3 the tiny CCSD's
+   blocks are uneven, and its largest rank holds 576 words where the
+   average over ranks is 438. *)
+let test_fused_example_pinned () =
+  let run ?scale ?mem_limit_bytes shape =
+    let grid, ext, seq, plan = ccsd_plan ?scale ?mem_limit_bytes shape in
+    let inputs = Sequence.random_inputs ext ~seed:49 seq in
+    let st = Multicore.run_plan_stats grid ext plan ~inputs in
+    (st.Multicore.sliced_rotations, st.Multicore.peak_words_per_proc)
+  in
+  Alcotest.(check (list (pair int int)))
+    "2x2 rows"
+    [ (6, 11088); (11, 11088); (34, 8064); (72, 6732); (72, 6732) ]
+    (List.map
+       (fun mem_limit_bytes -> run ?mem_limit_bytes (2, 2))
+       [ None; Some 200_000.0; Some 150_000.0; Some 130_000.0; Some 120_000.0 ]);
+  Alcotest.(check (pair int int)) "tiny on 3x3" (6, 576)
+    (run ~scale:`Tiny (3, 3))
+
+(* Small CCSD under limits stepped down x0.8 from 400,000 bytes, on
+   square and R x C grids: plans whose intermediates are fused with
+   their consumers (forcing loops), and plans that fuse only leaf
+   edges. Each must compute the reference values, execute exactly the
+   rotations the model charges, and keep every rank within the plan's
+   memory account. *)
+let test_fused_plan_sweep () =
+  let forcing =
+    [
+      ((2, 2), 163_840.0); ((2, 2), 131_072.0); ((1, 2), 320_000.0);
+      ((1, 2), 256_000.0); ((2, 1), 320_000.0); ((2, 1), 256_000.0);
+      ((2, 3), 131_072.0); ((2, 3), 104_858.0); ((2, 3), 83_886.0);
+      ((3, 3), 83_886.0); ((3, 3), 53_687.0);
+    ]
+  and leaf_only =
+    [ ((2, 2), Some 204_800.0); ((1, 2), None); ((2, 1), None) ]
+  in
+  let runs =
+    List.map (fun (shape, limit) -> (shape, Some limit, true)) forcing
+    @ List.map (fun (shape, limit) -> (shape, limit, false)) leaf_only
+  in
+  List.iteri
+    (fun k (((rows, cols) as shape), mem_limit_bytes, loops) ->
+      let ctx =
+        Printf.sprintf "%dx%d at %s" rows cols
+          (match mem_limit_bytes with
+          | Some b -> Printf.sprintf "%.0f B" b
+          | None -> "no limit")
+      in
+      let grid, ext, seq, plan = ccsd_plan ?mem_limit_bytes shape in
+      let fuses f = List.exists f plan.Plan.steps in
+      Alcotest.(check bool) (ctx ^ ": forcing loop") loops
+        (fuses (fun s -> not (Index.Set.is_empty s.Plan.fusion_out)));
+      Alcotest.(check bool) (ctx ^ ": fused leaf edge") true
+        (fuses (fun s ->
+             not
+               (Index.Set.is_empty
+                  (Index.Set.union s.Plan.fusion_left s.Plan.fusion_right))));
+      let inputs = Sequence.random_inputs ext ~seed:(100 + k) seq in
+      let st = Multicore.run_plan_stats grid ext plan ~inputs in
+      if
+        not
+          (Dense.equal_approx ~tol:1e-9 (Sequence.eval ext ~inputs seq)
+             st.Multicore.result)
+      then Alcotest.failf "%s: output differs from the reference" ctx;
+      Alcotest.(check int) (ctx ^ ": rotations") (msg_factors grid ext plan)
+        st.Multicore.sliced_rotations;
+      if st.Multicore.peak_words_per_proc > budget plan then
+        Alcotest.failf "%s: per-rank peak %d above the account %d" ctx
+          st.Multicore.peak_words_per_proc (budget plan))
+    runs
+
+(* Plans outside the search's fusion rules are refused as typed errors
+   before any step runs: a fused index a distribution splits (its loop
+   would pin an index the grid chunks), and a fused loop around a step
+   that leaves a rotated operand whole (it would rotate unsliced, which
+   the model never charges). *)
+let test_unexecutable_fusion_refused () =
+  let grid, ext, seq, plan = ccsd_plan ~mem_limit_bytes:130_000.0 (2, 2) in
+  let inputs = Sequence.random_inputs ext ~seed:48 seq in
+  let refused what edit =
+    let plan = { plan with Plan.steps = List.map edit plan.Plan.steps } in
+    match Multicore.run_plan_stats grid ext plan ~inputs with
+    | exception Tce_error.Error (Tce_error.Msg _) -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "a distributed fused index" (fun s ->
+      let t = List.hd (Dist.indices (Variant.dist_of s.variant Variant.Left)) in
+      { s with fusion_left = Index.Set.add t s.fusion_left });
+  refused "an unsliced rotated operand" (fun s ->
+      let whole role fused =
+        if Variant.rotates s.variant role then Index.Set.empty else fused
+      in
+      if Index.Set.is_empty s.fusion_out then s
+      else
+        {
+          s with
+          fusion_left = whole Variant.Left s.fusion_left;
+          fusion_right = whole Variant.Right s.fusion_right;
+        })
+
 let suite =
   [
     ( "runtime.spmd",
@@ -666,5 +843,18 @@ let suite =
         case "plan output bits pinned per grid shape"
           test_multicore_plan_bits_pinned;
         case "inputs are never written" test_multicore_inputs_untouched;
+        case "unfused plan matches reference" test_unfused_plan;
+        case "fused plan: correct values, less memory"
+          test_fused_plan_reduces_memory;
+        case "sliced rotations = sum of MsgFactors"
+          test_rotation_count_matches_msg_factors;
+        case "measured peak within the plan's accounting"
+          test_peak_within_plan_accounting;
+        case "missing input reported" test_missing_input;
+        case "fused example's rotations and per-rank peaks pinned"
+          test_fused_example_pinned;
+        case "fused plans on every grid shape" test_fused_plan_sweep;
+        case "plans outside the fusion rules refused"
+          test_unexecutable_fusion_refused;
       ] );
   ]

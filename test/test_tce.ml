@@ -20,7 +20,6 @@ let () =
          T_machine.suite;
          T_fault.suite;
          T_topology.suite;
-         T_fusedexec.suite;
          T_codegen.suite;
          T_runtime.suite;
          T_report.suite;
