@@ -61,6 +61,36 @@ let config procs =
 
 let section title = Format.printf "@.===== %s =====@.@." title
 
+let json_int k = Json.Num (float_of_int k)
+
+(* Writes BENCH_<name>.json: "benchmark" and the host's "host_cores",
+   then [fields], one per line, then [cases] (when given) one per line. *)
+let write_artifact name ?cases fields =
+  let path = "BENCH_" ^ name ^ ".json" in
+  let member key text = "  " ^ Json.to_string (Json.Str key) ^ ": " ^ text in
+  let fields =
+    ("benchmark", Json.Str name)
+    :: ("host_cores", json_int (Domain.recommended_domain_count ()))
+    :: fields
+  in
+  let cases =
+    match cases with
+    | None -> []
+    | Some [] -> [ member "cases" "[]" ]
+    | Some cases ->
+      [
+        member "cases"
+          ("[\n    "
+          ^ String.concat ",\n    "
+              (List.map (fun c -> Json.to_string (Json.Obj c)) cases)
+          ^ "\n  ]");
+      ]
+  in
+  let lines = List.map (fun (k, v) -> member k (Json.to_string v)) fields in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc ("{\n" ^ String.concat ",\n" (lines @ cases) ^ "\n}\n"));
+  Format.printf "@.wrote %s@." path
+
 (* ------------------------------------------------------------------ *)
 (* Tables 1 and 2                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -396,7 +426,7 @@ let machines () =
                       | Variant.Right -> s.fusion_right
                     in
                     acc
-                    + Eqs.msg_factor ext ~side
+                    + Eqs.msg_factor_rect ext ~rows:side ~cols:side
                         ~alpha:(Variant.dist_of s.variant role)
                         ~fused
                         ~dims:(Aref.indices (Variant.aref_of s.variant role)))
@@ -754,48 +784,33 @@ let kernels () =
           (float_of_int flops /. 1e6)
           ref_s (gf ref_s) kernel_s (gf kernel_s) (ref_s /. kernel_s)
           (path_name kpath) packed acc_alloc;
-        ( name,
-          (flops, ref_s, kernel_s),
-          (micro, kpath, packed, bits_equal_walk),
-          (minor_w, major_w),
-          acc_alloc,
-          8 * Dense.size into ))
+        [
+          ("name", Json.Str name);
+          ("flops", json_int flops);
+          ("ref_seconds", Json.Num ref_s);
+          ("kernel_seconds", Json.Num kernel_s);
+          ("ref_gflops", Json.Num (gf ref_s));
+          ("kernel_gflops", Json.Num (gf kernel_s));
+          ("speedup", Json.Num (ref_s /. kernel_s));
+          ("microkernel", Json.Bool micro);
+          ("path", Json.Str (path_name kpath));
+          ("packed", Json.Bool packed);
+          ("bits_equal_walk", Json.Bool bits_equal_walk);
+          ("gc_minor_words", Json.Num minor_w);
+          ("gc_major_words", Json.Num major_w);
+          ("acc_alloc_bytes", Json.Num acc_alloc);
+          ("out_bytes", json_int (8 * Dense.size into));
+        ])
       cases
   in
-  let path = "BENCH_kernels.json" in
-  Out_channel.with_open_text path (fun oc ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n  \"benchmark\": \"kernels\",\n";
-      p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-      let bkc, bmc, bnc = Kernel.blocking () in
-      p "  \"blocking\": {\"kc\": %d, \"mc\": %d, \"nc\": %d},\n" bkc bmc bnc;
-      p "  \"cases\": [\n";
-      List.iteri
-        (fun k
-             ( name,
-               (flops, ref_s, kernel_s),
-               (micro, kpath, packed, bits_equal_walk),
-               (minor_w, major_w),
-               acc_alloc,
-               out_bytes ) ->
-          p
-            "    {\"name\": %S, \"flops\": %d, \"ref_seconds\": %.6e, \
-             \"kernel_seconds\": %.6e, \"ref_gflops\": %.4f, \
-             \"kernel_gflops\": %.4f, \"speedup\": %.2f, \
-             \"microkernel\": %b, \"path\": %S, \"packed\": %b, \
-             \"bits_equal_walk\": %b, \"gc_minor_words\": %.0f, \
-             \"gc_major_words\": %.0f, \"acc_alloc_bytes\": %.0f, \
-             \"out_bytes\": %d}%s\n"
-            name flops ref_s kernel_s
-            (float_of_int flops /. ref_s /. 1e9)
-            (float_of_int flops /. kernel_s /. 1e9)
-            (ref_s /. kernel_s) micro (path_name kpath) packed bits_equal_walk
-            minor_w major_w
-            acc_alloc out_bytes
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
+  let bkc, bmc, bnc = Kernel.blocking () in
+  write_artifact "kernels" ~cases:rows
+    [
+      ( "blocking",
+        Json.Obj
+          [ ("kc", json_int bkc); ("mc", json_int bmc); ("nc", json_int bnc) ]
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* SPMD engine benchmarks                                              *)
@@ -843,29 +858,17 @@ let spmd () =
             Format.printf "%dx%d %9.2f ms/plan  matches reference %b%s@." r c
               (1e3 *. seconds) matches
               (if over then "  (oversubscribed)" else "");
-            ( Printf.sprintf "%dx%d" r c,
-              List.length plan.Plan.steps,
-              seconds,
-              over,
-              matches )))
+            [
+              ("grid", Json.Str (Printf.sprintf "%dx%d" r c));
+              ("plan_steps", json_int (List.length plan.Plan.steps));
+              ("seconds", Json.Num seconds);
+              ("host_cores", json_int host_cores);
+              ("oversubscribed", Json.Bool over);
+              ("matches_reference", Json.Bool matches);
+            ]))
       [ (1, 2); (2, 2); (3, 3) ]
   in
-  let path = "BENCH_spmd.json" in
-  Out_channel.with_open_text path (fun oc ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n  \"benchmark\": \"spmd\",\n  \"host_cores\": %d,\n  \"cases\": [\n"
-        host_cores;
-      List.iteri
-        (fun k (grid, steps, seconds, over, matches) ->
-          p
-            "    {\"grid\": %S, \"plan_steps\": %d, \"seconds\": %.6e, \
-             \"host_cores\": %d, \"oversubscribed\": %b, \
-             \"matches_reference\": %b}%s\n"
-            grid steps seconds host_cores over matches
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
+  write_artifact "spmd" ~cases:rows []
 
 (* ------------------------------------------------------------------ *)
 (* Tracing overhead and volume                                         *)
@@ -915,16 +918,14 @@ let trace () =
      %8.2f ms/plan (x%.2f, %d events)@.simulated replay: %d sim-clock \
      events@."
     (1e3 *. off_s) (1e3 *. on_s) (on_s /. off_s) !traced_events sim_events;
-  let path = "BENCH_trace.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"trace\",\n  \"host_cores\": %d,\n  \
-         \"off_seconds\": %.6e,\n  \"on_seconds\": %.6e,\n  \
-         \"overhead_factor\": %.3f,\n  \"spmd_events\": %d,\n  \
-         \"simulate_events\": %d\n}\n"
-        (Domain.recommended_domain_count ())
-        off_s on_s (on_s /. off_s) !traced_events sim_events);
-  Format.printf "@.wrote %s@." path
+  write_artifact "trace"
+    [
+      ("off_seconds", Json.Num off_s);
+      ("on_seconds", Json.Num on_s);
+      ("overhead_factor", Json.Num (on_s /. off_s));
+      ("spmd_events", json_int !traced_events);
+      ("simulate_events", json_int sim_events);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Search engine benchmarks                                            *)
@@ -975,7 +976,6 @@ let search_cfg () =
    solve's memo and solution counters. *)
 let search () =
   section "Search engine: the sequential DP on the generated corpus";
-  let host_cores = Domain.recommended_domain_count () in
   let cfg = search_cfg () in
   let cases =
     let cse =
@@ -1031,43 +1031,35 @@ let search () =
           generated identical (1e3 *. greedy_s)
           (100. *. greedy_s /. seq_s)
           greedy_valid greedy_cost exact_cost !rounds converged;
-        ( name, steps, seq_s, memo_s, (hits, misses, generated, kept),
-          identical,
-          (greedy_s, greedy_valid, greedy_cost, exact_cost),
-          (!rounds, converged) ))
+        [
+          ("name", Json.Str name);
+          ("plan_steps", json_int steps);
+          ("sequential_seconds", Json.Num seq_s);
+          ("memo_seconds", Json.Num memo_s);
+          ("speedup_memo", Json.Num (seq_s /. memo_s));
+          ("memo_hits", json_int hits);
+          ("memo_misses", json_int misses);
+          ("solutions_generated", json_int generated);
+          ("solutions_kept", json_int kept);
+          ("plans_identical", Json.Bool identical);
+          ( "greedy",
+            Json.Obj
+              [
+                ("seconds", Json.Num greedy_s);
+                ("fraction_of_exact", Json.Num (greedy_s /. seq_s));
+                ("valid", Json.Bool greedy_valid);
+                ("cost", Json.Num greedy_cost);
+                ("exact_cost", Json.Num exact_cost);
+              ] );
+          ( "anytime",
+            Json.Obj
+              [
+                ("rounds", json_int !rounds); ("converged", Json.Bool converged);
+              ] );
+        ])
       cases
   in
-  let path = "BENCH_search.json" in
-  Out_channel.with_open_text path (fun oc ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n  \"benchmark\": \"search\",\n  \"host_cores\": %d,\n  \
-         \"cases\": [\n"
-        host_cores;
-      List.iteri
-        (fun k
-             ( name, steps, seq_s, memo_s, (hits, misses, generated, kept),
-               identical,
-               (greedy_s, greedy_valid, greedy_cost, exact_cost),
-               (rounds, converged) ) ->
-          p
-            "    {\"name\": %S, \"plan_steps\": %d, \
-             \"sequential_seconds\": %.6e, \"memo_seconds\": %.6e, \
-             \"speedup_memo\": %.3f, \"memo_hits\": %d, \"memo_misses\": \
-             %d,\n\
-            \     \"solutions_generated\": %d, \"solutions_kept\": %d,\n\
-            \     \"plans_identical\": %b,\n\
-            \     \"greedy\": {\"seconds\": %.6e, \"fraction_of_exact\": \
-             %.5f, \"valid\": %b, \"cost\": %.6e, \"exact_cost\": %.6e},\n\
-            \     \"anytime\": {\"rounds\": %d, \"converged\": %b}}%s\n"
-            name steps seq_s memo_s (seq_s /. memo_s) hits misses generated
-            kept identical
-            greedy_s
-            (greedy_s /. seq_s)
-            greedy_valid greedy_cost exact_cost rounds converged
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
+  write_artifact "search" ~cases:rows []
 
 (* ------------------------------------------------------------------ *)
 (* Multi-term sums: cross-term CSE vs per-term-independent planning    *)
@@ -1107,36 +1099,21 @@ let sums () =
           (List.length opt.Plan.shared)
           opt_c (1e3 *. opt_s) indep_c (1e3 *. indep_s) (100. *. saving)
           valid identical;
-        ( sname,
-          (List.length opt.Plan.terms, List.length opt.Plan.shared),
-          (opt_c, indep_c, saving),
-          (opt_s, indep_s),
-          (identical, valid) ))
+        [
+          ("name", Json.Str sname);
+          ("terms", json_int (List.length opt.Plan.terms));
+          ("shared_values", json_int (List.length opt.Plan.shared));
+          ("sum_comm_seconds", Json.Num opt_c);
+          ("independent_comm_seconds", Json.Num indep_c);
+          ("saving_fraction", Json.Num saving);
+          ("optimize_seconds", Json.Num opt_s);
+          ("independent_seconds", Json.Num indep_s);
+          ("plans_identical", Json.Bool identical);
+          ("valid", Json.Bool valid);
+        ])
       (Gencorpus.sum_bench_corpus ())
   in
-  let path = "BENCH_sums.json" in
-  Out_channel.with_open_text path (fun oc ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n  \"benchmark\": \"sums\",\n  \"cases\": [\n";
-      List.iteri
-        (fun k
-             ( name,
-               (terms, shared),
-               (opt_c, indep_c, saving),
-               (opt_s, indep_s),
-               (identical, valid) ) ->
-          p
-            "    {\"name\": %S, \"terms\": %d, \"shared_values\": %d, \
-             \"sum_comm_seconds\": %.6e, \"independent_comm_seconds\": \
-             %.6e, \"saving_fraction\": %.4f, \"optimize_seconds\": %.6e, \
-             \"independent_seconds\": %.6e, \"plans_identical\": %b, \
-             \"valid\": %b}%s\n"
-            name terms shared opt_c indep_c saving opt_s indep_s identical
-            valid
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
+  write_artifact "sums" ~cases:rows []
 
 (* ------------------------------------------------------------------ *)
 (* Topology: uniform vs 2-procs/node node-aware planning               *)
@@ -1216,37 +1193,24 @@ let topology_bench () =
             (shape node_best.Plan.grid)
             node_c intra (1e3 *. node_s) square_node_c (100. *. saving);
           Some
-            ( name,
-              (Plan.comm_cost plain, identical),
-              (shape node_best.Plan.grid, node_c, intra),
-              (square_node_c, saving) ))
+            [
+              ("name", Json.Str name);
+              ("uniform_grid", Json.Str (shape square));
+              ("uniform_comm_seconds", Json.Num (Plan.comm_cost plain));
+              ("plans_identical", Json.Bool identical);
+              ("node_grid", Json.Str (shape node_best.Plan.grid));
+              ("node_comm_seconds", Json.Num node_c);
+              ("intra_axes", json_int intra);
+              ("square_node_comm_seconds", Json.Num square_node_c);
+              ("saving_fraction", Json.Num saving);
+            ])
       instances
   in
-  let path = "BENCH_topology.json" in
-  Out_channel.with_open_text path (fun oc ->
-      let p fmt = Printf.fprintf oc fmt in
-      p
-        "{\n  \"benchmark\": \"topology\",\n  \"procs\": %d,\n  \
-         \"procs_per_node\": %d,\n  \"cases\": [\n"
-        procs params.Params.procs_per_node;
-      List.iteri
-        (fun k
-             ( name,
-               (uniform_c, identical),
-               (node_shape, node_c, intra),
-               (square_node_c, saving) ) ->
-          p
-            "    {\"name\": %S, \"uniform_grid\": \"4x4\", \
-             \"uniform_comm_seconds\": %.6e, \"plans_identical\": %b, \
-             \"node_grid\": %S, \"node_comm_seconds\": %.6e, \
-             \"intra_axes\": %d, \"square_node_comm_seconds\": %.6e, \
-             \"saving_fraction\": %.4f}%s\n"
-            name uniform_c identical node_shape node_c intra square_node_c
-            saving
-            (if k = List.length rows - 1 then "" else ","))
-        rows;
-      p "  ]\n}\n");
-  Format.printf "@.wrote %s@." path
+  write_artifact "topology" ~cases:rows
+    [
+      ("procs", json_int procs);
+      ("procs_per_node", json_int params.Params.procs_per_node);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The planning daemon: load generator                                 *)
@@ -1287,7 +1251,6 @@ S[i0,i1,i2,i3] = sum[i4,i5,i6] A1[i0,i2,i4,i5,i6] * T2[i1,i3,i4,i5,i6]
      JSON records both searches' undeadlined times). *)
 let serve_bench () =
   section "Planning daemon: throughput, cache, overload, degradation";
-  let host_cores = Domain.recommended_domain_count () in
   let matmul_expr n =
     Printf.sprintf
       "extents a=%d, b=16, c=16\nC[a,c] = sum[b] A[a,b] * B[b,c]\n" n
@@ -1471,31 +1434,43 @@ let serve_bench () =
     deadline_ms tight_procs exact_ms beam_ms degraded tight_n greedy_seeded
     exceeded tight_n;
 
-  let path = "BENCH_serve.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"benchmark\": \"serve\",\n\
-        \  \"host_cores\": %d,\n\
-        \  \"cache_hit_requests_per_sec\": %.1f,\n\
-        \  \"cold_latency_ms\": {\"p50\": %.3f, \"p99\": %.3f},\n\
-        \  \"cache_hit_latency_ms\": {\"p50\": %.3f, \"p99\": %.3f},\n\
-        \  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_requests\": \
-         %d, \"cold_requests\": %d},\n\
-        \  \"hit_plan_byte_identical\": %b,\n\
-        \  \"overload\": {\"burst\": %d, \"rejected\": %d, \
-         \"rejection_rate\": %.3f},\n\
-        \  \"tight_deadline\": {\"procs\": %d, \"deadline_ms\": %.0f, \
-         \"exact_ms\": %.1f, \"beam_ms\": %.1f, \"requests\": %d, \
-         \"degraded\": %d, \"greedy_seeded\": %d, \"deadline_exceeded\": %d, \
-         \"degradation_rate\": %.3f}\n\
-         }\n"
-        host_cores rps cold_p50 cold_p99 hit_p50 hit_p99
-        cache_stats.Plancache.hits cache_stats.Plancache.misses (hit_n + 1)
-        (cold_n + 1) byte_identical burst rejected rejection_rate tight_procs
-        deadline_ms exact_ms beam_ms tight_n degraded greedy_seeded exceeded
-        degradation_rate);
-  Format.printf "@.wrote %s@." path
+  write_artifact "serve"
+    [
+      ("cache_hit_requests_per_sec", Json.Num rps);
+      ( "cold_latency_ms",
+        Json.Obj [ ("p50", Json.Num cold_p50); ("p99", Json.Num cold_p99) ] );
+      ( "cache_hit_latency_ms",
+        Json.Obj [ ("p50", Json.Num hit_p50); ("p99", Json.Num hit_p99) ] );
+      ( "cache",
+        Json.Obj
+          [
+            ("hits", json_int cache_stats.Plancache.hits);
+            ("misses", json_int cache_stats.Plancache.misses);
+            ("hit_requests", json_int (hit_n + 1));
+            ("cold_requests", json_int (cold_n + 1));
+          ] );
+      ("hit_plan_byte_identical", Json.Bool byte_identical);
+      ( "overload",
+        Json.Obj
+          [
+            ("burst", json_int burst);
+            ("rejected", json_int rejected);
+            ("rejection_rate", Json.Num rejection_rate);
+          ] );
+      ( "tight_deadline",
+        Json.Obj
+          [
+            ("procs", json_int tight_procs);
+            ("deadline_ms", Json.Num deadline_ms);
+            ("exact_ms", Json.Num exact_ms);
+            ("beam_ms", Json.Num beam_ms);
+            ("requests", json_int tight_n);
+            ("degraded", json_int degraded);
+            ("greedy_seeded", json_int greedy_seeded);
+            ("deadline_exceeded", json_int exceeded);
+            ("degradation_rate", Json.Num degradation_rate);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)

@@ -425,7 +425,25 @@ let validate_cmd =
         ~min_extent:(max 2 side)
     in
     Format.printf "validation extents: %a@." Extents.pp ext;
-    let plan = or_die (Search.optimize cfg ext tree) in
+    (* Plan under the memory-first plan's per-node peak, the tightest
+       limit any plan meets, so the executed plan fuses as a plan at
+       scale does. *)
+    let limit =
+      Plan.mem_per_node_bytes
+        (Search.tree_plan
+           (or_die
+              (Search.plan ext
+                 (Search.request ~objective:Search.Mem_first (Search.Grid cfg)
+                    (Search.Tree tree)))))
+    in
+    Format.printf "memory limit: %.0f bytes per node (the memory-first peak)@."
+      limit;
+    let plan =
+      or_die
+        (Search.optimize
+           { cfg with Search.mem_limit_bytes = Some limit }
+           ext tree)
+    in
     let seq = or_die (Tree.to_sequence tree) in
     let inputs = Sequence.random_inputs ext ~seed:20260705 seq in
     let reference = Sequence.eval ext ~inputs seq in
@@ -457,8 +475,10 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Numerically validate the optimized plan for a problem at \
-             scaled-down extents: execution with the plan's fusion on \
-             one domain per processor, and the replay. Exits 1 when the \
+             scaled-down extents, planned under the per-node memory peak \
+             of the memory-first plan (the tightest limit any plan meets, \
+             so the plan fuses): execution with the plan's fusion on one \
+             domain per processor, and the replay. Exits 1 when the \
              output differs from the reference.")
     Term.(const run $ file_arg $ procs_arg $ div_arg)
 

@@ -1,37 +1,6 @@
 open! Import
 
-let dist_range ext ~side ~alpha ~fused i =
-  if Index.Set.mem i fused then 1
-  else if Dist.distributes alpha i then
-    Ints.ceil_div (Extents.extent ext i) side
-  else Extents.extent ext i
-
-let dist_size ext ~side ~alpha ~fused ~dims =
-  List.fold_left
-    (fun acc i -> acc * dist_range ext ~side ~alpha ~fused i)
-    1 dims
-
-let loop_range ext ~side ~alpha ~fused j =
-  if not (Index.Set.mem j fused) then 1
-  else if Dist.distributes alpha j then
-    Ints.ceil_div (Extents.extent ext j) side
-  else Extents.extent ext j
-
-let msg_factor ext ~side ~alpha ~fused ~dims =
-  List.fold_left
-    (fun acc j -> acc * loop_range ext ~side ~alpha ~fused j)
-    1 dims
-
-let rotate_cost ~rcost ext ~alpha ~fused ~dims ~axis =
-  let side = Rcost.side rcost in
-  let words = dist_size ext ~side ~alpha ~fused ~dims in
-  let factor = msg_factor ext ~side ~alpha ~fused ~dims in
-  float_of_int factor *. Rcost.query rcost ~axis ~words
-
-(* Rectangular-grid variants: distribution position 1 divides by [rows],
-   position 2 by [cols]. On a square grid ([rows = cols = side]) every
-   function below computes the identical integers to its [~side]
-   counterpart. *)
+(* Distribution position 1 divides by [rows], position 2 by [cols]. *)
 
 let dist_range_rect ext ~rows ~cols ~alpha ~fused i =
   if Index.Set.mem i fused then 1

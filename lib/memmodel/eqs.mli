@@ -15,41 +15,13 @@
       the array is communicated;
     - [RotateCost = MsgFactor · RCost(DistSize, α, axis)].
 
-    Non-divisible extents are handled with ceiling division, slightly
-    overestimating sizes (a safe direction for a memory limit). *)
+    Every function takes the grid as [rows] × [cols] (the paper's
+    √P × √P grid is [rows = cols = √P]): distribution position 1 divides
+    its dimension by [rows], position 2 by [cols]. Non-divisible extents
+    are handled with ceiling division, slightly overestimating sizes (a
+    safe direction for a memory limit). *)
 
 open! Import
-
-val dist_range :
-  Extents.t -> side:int -> alpha:Dist.t -> fused:Index.Set.t -> Index.t -> int
-
-val dist_size :
-  Extents.t -> side:int -> alpha:Dist.t -> fused:Index.Set.t
-  -> dims:Index.t list -> int
-(** Per-processor words of the stored (fusion-reduced, distributed)
-    array. *)
-
-val loop_range :
-  Extents.t -> side:int -> alpha:Dist.t -> fused:Index.Set.t -> Index.t -> int
-
-val msg_factor :
-  Extents.t -> side:int -> alpha:Dist.t -> fused:Index.Set.t
-  -> dims:Index.t list -> int
-(** How many separate rotations the fused loops force. 1 when [fused] is
-    empty: the array is rotated exactly once. *)
-
-val rotate_cost :
-  rcost:Rcost.t -> Extents.t -> alpha:Dist.t -> fused:Index.Set.t
-  -> dims:Index.t list -> axis:int -> float
-(** Total communication cost for rotating the array along processor
-    dimension [axis] (the grid side is the characterization's). *)
-
-(** {2 Rectangular grids}
-
-    The same equations on an R × C grid: distribution position 1 divides
-    its dimension by [rows], position 2 by [cols]. With
-    [rows = cols = side] each computes the identical integers to its
-    [~side] counterpart above. *)
 
 val dist_range_rect :
   Extents.t -> rows:int -> cols:int -> alpha:Dist.t -> fused:Index.Set.t
@@ -58,6 +30,8 @@ val dist_range_rect :
 val dist_size_rect :
   Extents.t -> rows:int -> cols:int -> alpha:Dist.t -> fused:Index.Set.t
   -> dims:Index.t list -> int
+(** Per-processor words of the stored (fusion-reduced, distributed)
+    array. *)
 
 val loop_range_rect :
   Extents.t -> rows:int -> cols:int -> alpha:Dist.t -> fused:Index.Set.t
@@ -66,11 +40,14 @@ val loop_range_rect :
 val msg_factor_rect :
   Extents.t -> rows:int -> cols:int -> alpha:Dist.t -> fused:Index.Set.t
   -> dims:Index.t list -> int
+(** How many separate rotations the fused loops force. 1 when [fused] is
+    empty: the array is rotated exactly once. *)
 
 val rotate_cost_rect :
   rcost:Rcost.t -> Extents.t -> alpha:Dist.t -> fused:Index.Set.t
   -> dims:Index.t list -> axis:int -> float
-(** [rotate_cost] with the characterization's R × C shape. *)
+(** Total communication cost for rotating the array along processor
+    dimension [axis], on the characterization's R × C shape. *)
 
 val full_words : Extents.t -> dims:Index.t list -> int
 (** Size of the undistributed, unfused array (for reporting). *)

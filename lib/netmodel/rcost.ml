@@ -6,13 +6,6 @@ let rows t = t.rows
 let cols t = t.cols
 let is_square t = t.rows = t.cols
 
-let side t =
-  if t.rows <> t.cols then
-    invalid_arg
-      (Printf.sprintf "Rcost.side: %dx%d characterization is not square"
-         t.rows t.cols);
-  t.rows
-
 let check_samples samples =
   let samples = List.sort_uniq compare samples in
   if samples = [] then invalid_arg "Rcost.characterize: no sample sizes";

@@ -17,10 +17,6 @@ type t
     local block size in words, for one grid shape (the paper's square
     √P × √P, or a rectangular R × C shape for topology-aware planning). *)
 
-val side : t -> int
-(** The square side. Raises [Invalid_argument] on a rectangular
-    characterization — use {!rows}/{!cols} there. *)
-
 val rows : t -> int
 val cols : t -> int
 val is_square : t -> bool

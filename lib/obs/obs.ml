@@ -1,3 +1,5 @@
+module Json = Tce_util.Json
+
 let wall_pid = 1
 let sim_pid = 2
 
@@ -154,122 +156,69 @@ let thread_names s =
 
 (* {2 Chrome trace-event JSON} *)
 
-let json_escape b str =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    str
+let json_int k = Json.Num (float_of_int k)
 
-let json_string b str =
-  Buffer.add_char b '"';
-  json_escape b str;
-  Buffer.add_char b '"'
+(* One event object. Its fields come in a fixed order, so a recording
+   always exports to the same bytes. A span whose clock ran backwards
+   gets duration 0. *)
+let event_json e =
+  let ph, dur =
+    match e.ph with
+    | `X -> ("X", [ ("dur", Json.Num (Float.max 0. e.dur_us)) ])
+    | `I -> ("i", [])
+    | `C -> ("C", [])
+  in
+  let args =
+    match e.ph with
+    | `C -> [ ("args", Json.Obj [ ("value", Json.Num e.value) ]) ]
+    | `X | `I when e.args = [] -> []
+    | `X | `I ->
+      [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) e.args)) ]
+  in
+  Json.Obj
+    ((("name", Json.Str e.name)
+      :: (if e.cat = "" then [] else [ ("cat", Json.Str e.cat) ]))
+    @ (("ph", Json.Str ph) :: ("ts", Json.Num e.ts_us) :: dur)
+    @ (("pid", json_int e.pid) :: ("tid", json_int e.tid) :: args))
 
-(* Chrome's importer accepts any JSON number for ts/dur; print with enough
-   digits to round-trip and no exponent weirdness for typical values. *)
-let json_float b x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.17g" x)
-
-let emit_args b args =
-  Buffer.add_string b ",\"args\":{";
-  List.iteri
-    (fun k (key, v) ->
-      if k > 0 then Buffer.add_char b ',';
-      json_string b key;
-      Buffer.add_char b ':';
-      json_string b v)
-    args;
-  Buffer.add_char b '}'
-
-let emit_event b e =
-  Buffer.add_string b "{\"name\":";
-  json_string b e.name;
-  if e.cat <> "" then begin
-    Buffer.add_string b ",\"cat\":";
-    json_string b e.cat
-  end;
-  Buffer.add_string b ",\"ph\":";
-  json_string b (match e.ph with `X -> "X" | `I -> "i" | `C -> "C");
-  Buffer.add_string b ",\"ts\":";
-  json_float b e.ts_us;
-  (match e.ph with
-  | `X ->
-    Buffer.add_string b ",\"dur\":";
-    json_float b (Float.max 0. e.dur_us)
-  | `I | `C -> ());
-  Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d" e.pid e.tid);
-  (match e.ph with
-  | `C ->
-    Buffer.add_string b ",\"args\":{\"value\":";
-    json_float b e.value;
-    Buffer.add_char b '}'
-  | _ -> if e.args <> [] then emit_args b e.args);
-  Buffer.add_char b '}'
+let metadata_json kind ~pid ~tid name =
+  Json.Obj
+    [
+      ("name", Json.Str kind);
+      ("ph", Json.Str "M");
+      ("pid", json_int pid);
+      ("tid", json_int tid);
+      ("args", Json.Obj [ ("name", Json.Str name) ]);
+    ]
 
 let to_chrome_json s =
-  let evs = events s in
-  let ctrs = counters s in
-  let names = thread_names s in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n";
-    ()
-  in
-  List.iter
-    (fun e ->
-      sep ();
-      emit_event b e)
-    evs;
   (* One terminal sample per aggregate counter, on a dedicated track. *)
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      emit_event b
-        {
-          name;
-          cat = "counter";
-          ph = `C;
-          pid = wall_pid;
-          tid = 0;
-          ts_us = 0.;
-          dur_us = 0.;
-          value = float_of_int v;
-          args = [];
-        })
-    ctrs;
-  List.iter
-    (fun ((pid, tid), name) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
-            \"args\":{\"name\":" pid tid);
-      json_string b name;
-      Buffer.add_string b "}}")
-    names;
-  (* Label the two clock domains. *)
-  List.iter
-    (fun (pid, pname) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\
-            \"args\":{\"name\":\"%s\"}}" pid pname))
-    [ (wall_pid, "wall clock"); (sim_pid, "simulated clock") ];
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let counter (name, v) =
+    {
+      name;
+      cat = "counter";
+      ph = `C;
+      pid = wall_pid;
+      tid = 0;
+      ts_us = 0.;
+      dur_us = 0.;
+      value = float_of_int v;
+      args = [];
+    }
+  in
+  let objects =
+    List.map event_json (events s @ List.map counter (counters s))
+    @ List.map
+        (fun ((pid, tid), name) -> metadata_json "thread_name" ~pid ~tid name)
+        (thread_names s)
+    (* Label the two clock domains. *)
+    @ List.map
+        (fun (pid, name) -> metadata_json "process_name" ~pid ~tid:0 name)
+        [ (wall_pid, "wall clock"); (sim_pid, "simulated clock") ]
+  in
+  "{\"traceEvents\":["
+  ^ String.concat ",\n" (List.map Json.to_string objects)
+  ^ "]}"
 
 let write_chrome_json s ~path =
   match
@@ -328,187 +277,22 @@ let summary s =
 (* {2 Chrome trace validation} *)
 
 module Trace_check = struct
-  (* A small recursive-descent JSON parser — just enough structure to
-     validate trace files without pulling in a JSON dependency. *)
-  type json =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of json list
-    | Obj of (string * json) list
-
-  exception Bad of string
-
-  type state = { src : string; mutable pos : int }
-
-  let error st msg = raise (Bad (Printf.sprintf "%s at offset %d" msg st.pos))
-  let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-  let skip_ws st =
-    let n = String.length st.src in
-    while
-      st.pos < n
-      && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      st.pos <- st.pos + 1
-    done
-
-  let expect st c =
-    match peek st with
-    | Some c' when c' = c -> st.pos <- st.pos + 1
-    | _ -> error st (Printf.sprintf "expected '%c'" c)
-
-  let parse_lit st lit v =
-    let n = String.length lit in
-    if
-      st.pos + n <= String.length st.src
-      && String.sub st.src st.pos n = lit
-    then begin
-      st.pos <- st.pos + n;
-      v
-    end
-    else error st (Printf.sprintf "expected %s" lit)
-
-  let parse_string st =
-    expect st '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.src then error st "unterminated string";
-      let c = st.src.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        if st.pos >= String.length st.src then error st "bad escape";
-        let e = st.src.[st.pos] in
-        st.pos <- st.pos + 1;
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.src then error st "bad \\u escape";
-          let hex = String.sub st.src st.pos 4 in
-          st.pos <- st.pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | None -> error st "bad \\u escape"
-          | Some code ->
-            (* Validation only cares about well-formedness; encode the
-               code point as UTF-8 without surrogate pairing. *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else Buffer.add_string b (Printf.sprintf "\\u%04x" code))
-        | _ -> error st "bad escape");
-        go ()
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-
-  let parse_number st =
-    let start = st.pos in
-    let n = String.length st.src in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while st.pos < n && is_num_char st.src.[st.pos] do
-      st.pos <- st.pos + 1
-    done;
-    match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-    | Some f -> f
-    | None -> error st "bad number"
-
-  let rec parse_value st =
-    skip_ws st;
-    match peek st with
-    | None -> error st "unexpected end of input"
-    | Some '"' -> Str (parse_string st)
-    | Some '{' -> parse_obj st
-    | Some '[' -> parse_arr st
-    | Some 't' -> parse_lit st "true" (Bool true)
-    | Some 'f' -> parse_lit st "false" (Bool false)
-    | Some 'n' -> parse_lit st "null" Null
-    | Some ('-' | '0' .. '9') -> Num (parse_number st)
-    | Some c -> error st (Printf.sprintf "unexpected '%c'" c)
-
-  and parse_obj st =
-    expect st '{';
-    skip_ws st;
-    if peek st = Some '}' then begin
-      st.pos <- st.pos + 1;
-      Obj []
-    end
-    else begin
-      let fields = ref [] in
-      let rec go () =
-        skip_ws st;
-        let key = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        fields := (key, v) :: !fields;
-        skip_ws st;
-        match peek st with
-        | Some ',' -> st.pos <- st.pos + 1; go ()
-        | Some '}' -> st.pos <- st.pos + 1
-        | _ -> error st "expected ',' or '}'"
-      in
-      go ();
-      Obj (List.rev !fields)
-    end
-
-  and parse_arr st =
-    expect st '[';
-    skip_ws st;
-    if peek st = Some ']' then begin
-      st.pos <- st.pos + 1;
-      Arr []
-    end
-    else begin
-      let items = ref [] in
-      let rec go () =
-        let v = parse_value st in
-        items := v :: !items;
-        skip_ws st;
-        match peek st with
-        | Some ',' -> st.pos <- st.pos + 1; go ()
-        | Some ']' -> st.pos <- st.pos + 1
-        | _ -> error st "expected ',' or ']'"
-      in
-      go ();
-      Arr (List.rev !items)
-    end
-
-  let parse str =
-    let st = { src = str; pos = 0 } in
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos <> String.length str then error st "trailing garbage";
-    v
-
-  let field obj key = List.assoc_opt key obj
-
   let check_event k v =
     let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
     match v with
-    | Obj fields -> (
-      match (field fields "name", field fields "ph") with
+    | Json.Obj _ -> (
+      let field key = Json.member key v in
+      match (field "name", field "ph") with
       | None, _ -> fail "event %d: missing \"name\"" k
-      | Some (Str _), Some (Str ph) -> (
+      | Some (Json.Str _), Some (Json.Str ph) -> (
         let known =
           List.mem ph [ "B"; "E"; "X"; "I"; "i"; "C"; "M"; "P"; "b"; "e"; "n" ]
         in
         if not known then fail "event %d: unknown ph %S" k ph
         else
           let num key =
-            match field fields key with
-            | Some (Num _) -> Ok ()
+            match field key with
+            | Some (Json.Num _) -> Ok ()
             | Some _ -> fail "event %d: %S is not a number" k key
             | None -> fail "event %d: missing %S" k key
           in
@@ -519,20 +303,20 @@ module Trace_check = struct
           else
             let* () = num "ts" in
             if ph = "X" then num "dur" else Ok ())
-      | Some (Str _), _ -> fail "event %d: missing or non-string \"ph\"" k
+      | Some (Json.Str _), _ -> fail "event %d: missing or non-string \"ph\"" k
       | Some _, _ -> fail "event %d: \"name\" is not a string" k)
     | _ -> fail "event %d: not an object" k
 
   let validate str =
-    match parse str with
-    | exception Bad msg -> Error ("invalid JSON: " ^ msg)
-    | json -> (
+    match Json.parse str with
+    | Error msg -> Error ("invalid JSON: " ^ msg)
+    | Ok json -> (
       let events =
         match json with
-        | Arr evs -> Ok evs
-        | Obj fields -> (
-          match field fields "traceEvents" with
-          | Some (Arr evs) -> Ok evs
+        | Json.Arr evs -> Ok evs
+        | Json.Obj _ -> (
+          match Json.member "traceEvents" json with
+          | Some (Json.Arr evs) -> Ok evs
           | Some _ -> Error "\"traceEvents\" is not an array"
           | None -> Error "object form lacks \"traceEvents\"")
         | _ -> Error "top level is neither an array nor an object"

@@ -1,13 +1,14 @@
 (** Unified tracing and metrics for the whole stack.
 
-    A zero-dependency (stdlib + unix) structured observability layer: every
+    A structured observability layer on stdlib and unix: every
     subsystem — the DP {!Tce_core.Search}, the discrete-event
     {!Tce_machine.Simulate} replay, the real {!Tce_runtime.Spmd} /
     {!Tce_runtime.Multicore} engines and the {!Tce_tensor.Kernel}
     microkernel dispatch — emits spans, instants and named counters through
     this module, and two exporters turn a recording into either
-    Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) or a
-    deterministic plain-text summary for tests.
+    Chrome trace-event JSON (loadable in Perfetto / chrome://tracing,
+    printed and checked with {!Tce_util.Json}) or a deterministic
+    plain-text summary for tests.
 
     {2 Clocks}
 
@@ -108,7 +109,8 @@ val dropped : sink -> int
 
 val to_chrome_json : sink -> string
 (** The recording as a Chrome trace-event JSON object
-    ([{"traceEvents": [...]}]): events in recording order, then one
+    ([{"traceEvents": [...]}], one event per line, each printed by
+    {!Tce_util.Json.to_string}): events in recording order, then one
     counter sample per aggregate counter, then thread-name metadata. *)
 
 val write_chrome_json : sink -> path:string -> (unit, string) result
@@ -122,12 +124,14 @@ val summary : sink -> string
 
 module Trace_check : sig
   val validate : string -> (int, string) result
-  (** Parse a JSON string (full generic grammar) and check it is a
-      Chrome trace-event file: either a bare event array or an object
-      with a [traceEvents] array, where every event is an object with a
-      string [name], a one-of-[B E X I i C M P] string [ph], numeric
-      [ts] (except [M] metadata), numeric [pid] and [tid], and a numeric
-      [dur] when [ph = "X"]. Returns the event count. *)
+  (** Parse a JSON string with {!Tce_util.Json.parse} (input nested
+      deeper than {!Tce_util.Json.max_depth} is an [Error] naming the
+      limit) and check it is a Chrome trace-event file: either a bare
+      event array or an object with a [traceEvents] array, where every
+      event is an object with a string [name], a one-of-[B E X I i C M P]
+      string [ph], numeric [ts] (except [M] metadata), numeric [pid] and
+      [tid], and a numeric [dur] when [ph = "X"]. Returns the event
+      count. *)
 
   val validate_file : string -> (int, string) result
 end

@@ -45,8 +45,12 @@ let pp_stanza ppf ~pad ext side (s : Plan.step) =
       let alpha = Variant.dist_of v role in
       let fused = fused_of_role s role in
       let dims = Aref.indices aref in
-      let words = Eqs.dist_size ext ~side ~alpha ~fused ~dims in
-      let factor = Eqs.msg_factor ext ~side ~alpha ~fused ~dims in
+      let words =
+        Eqs.dist_size_rect ext ~rows:side ~cols:side ~alpha ~fused ~dims
+      in
+      let factor =
+        Eqs.msg_factor_rect ext ~rows:side ~cols:side ~alpha ~fused ~dims
+      in
       let cost =
         match
           List.find_opt (fun (r, _) -> Variant.role_equal r role) s.rotations

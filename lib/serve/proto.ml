@@ -1,6 +1,8 @@
 (* Wire protocol of the planning daemon: one JSON object per line in,
    one per line out. See DESIGN.md §13 for the schema. *)
 
+open! Import
+
 type fusion = [ `All | `None | `Memmin ]
 type topology = [ `Uniform | `Node ]
 

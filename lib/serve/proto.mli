@@ -7,6 +7,8 @@
     strings plus ["parse_error"], ["invalid_request"], ["draining"] and
     ["worker_crashed"]). *)
 
+open! Import
+
 type fusion = [ `All | `None | `Memmin ]
 
 type topology = [ `Uniform | `Node ]

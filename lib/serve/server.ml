@@ -17,6 +17,8 @@
    unexpectedly answers a typed [worker_crashed] error and keeps
    serving — the daemon never dies with a request. *)
 
+open! Import
+
 module Search = Tce_core.Search
 module Plan = Tce_core.Plan
 module Baselines = Tce_core.Baselines

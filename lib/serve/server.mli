@@ -27,6 +27,8 @@
     whole-sum fingerprint, disjoint by construction from every
     single-term key. *)
 
+open! Import
+
 type degrade_mode =
   [ `Auto
     (** exact DP inside 60% of the budget, then beam 4 inside 80% of

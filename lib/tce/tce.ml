@@ -41,7 +41,9 @@
     {2 Observability}
     {!Obs} — structured tracing and metrics: wall-clock and
     simulated-clock spans, named counters, Chrome trace-event JSON and
-    deterministic text exporters.
+    deterministic text exporters; {!Json} — the one JSON codec, behind
+    the trace export and checker, the daemon's wire protocol and the
+    bench artifacts.
 
     {2 Fault tolerance}
     {!Tce_error} — the typed error surface; {!Fault} — the seeded,
@@ -50,7 +52,7 @@
     the surviving sub-grid after a crash.
 
     {2 Serving}
-    {!Json}, {!Proto}, {!Plancache}, {!Server} — the fault-hardened planning
+    {!Proto}, {!Plancache}, {!Server} — the fault-hardened planning
     daemon behind [bin/tce_serve]: JSON-lines protocol, bounded
     admission queue, LRU plan cache on the α-renamed content
     fingerprint, per-request deadlines with a degradation ladder, and
@@ -62,6 +64,7 @@ module Listx = Tce_util.Listx
 module Interp_table = Tce_util.Interp
 module Prng = Tce_util.Prng
 module Units = Tce_util.Units
+module Json = Tce_util.Json
 module Index = Tce_index.Index
 module Extents = Tce_index.Extents
 module Coords = Tce_tensor.Coords
@@ -102,7 +105,6 @@ module Cluster = Tce_machine.Cluster
 module Simulate = Tce_machine.Simulate
 module Spmd = Tce_runtime.Spmd
 module Multicore = Tce_runtime.Multicore
-module Json = Tce_server.Json
 module Proto = Tce_server.Proto
 module Plancache = Tce_server.Cache
 module Server = Tce_server.Server

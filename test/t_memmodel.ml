@@ -16,11 +16,14 @@ let test_dist_range () =
   let alpha = Dist.pair (i "d") (i "b") in
   (* fused -> 1; distributed -> N/sqrt(P); otherwise N. *)
   Alcotest.(check int) "fused" 1
-    (Eqs.dist_range paper_ext ~side:4 ~alpha ~fused:fuse_f (i "f"));
+    (Eqs.dist_range_rect paper_ext ~rows:4 ~cols:4 ~alpha ~fused:fuse_f
+       (i "f"));
   Alcotest.(check int) "distributed" 120
-    (Eqs.dist_range paper_ext ~side:4 ~alpha ~fused:fuse_f (i "b"));
+    (Eqs.dist_range_rect paper_ext ~rows:4 ~cols:4 ~alpha ~fused:fuse_f
+       (i "b"));
   Alcotest.(check int) "full" 480
-    (Eqs.dist_range paper_ext ~side:4 ~alpha ~fused:fuse_f (i "c"))
+    (Eqs.dist_range_rect paper_ext ~rows:4 ~cols:4 ~alpha ~fused:fuse_f
+       (i "c"))
 
 (* Paper section 3.2's worked example: B = T1(b,c,d,f) with distribution
    <b,f> and fusion {c} on 16 processors is 921,600 words per processor. *)
@@ -28,13 +31,13 @@ let test_paper_worked_example () =
   let alpha = Dist.pair (i "b") (i "f") in
   let fused = Index.set_of_list [ i "c" ] in
   Alcotest.(check int) "921600 words" 921_600
-    (Eqs.dist_size paper_ext ~side:4 ~alpha ~fused
+    (Eqs.dist_size_rect paper_ext ~rows:4 ~cols:4 ~alpha ~fused
        ~dims:(idx_list [ "b"; "c"; "d"; "f" ]))
 
 (* Table 2's stored sizes (per processor = per node / 2). *)
 let test_table2_sizes () =
   let t1 =
-    Eqs.dist_size paper_ext ~side:4
+    Eqs.dist_size_rect paper_ext ~rows:4 ~cols:4
       ~alpha:(Dist.pair (i "d") (i "b"))
       ~fused:fuse_f
       ~dims:(idx_list [ "b"; "c"; "d"; "f" ])
@@ -43,14 +46,14 @@ let test_table2_sizes () =
   check_close ~ctx:"108.0 MB/node" 108.0
     (Units.paper_mb_of_words (2 * t1));
   let b_msg =
-    Eqs.dist_size paper_ext ~side:4
+    Eqs.dist_size_rect paper_ext ~rows:4 ~cols:4
       ~alpha:(Dist.pair (i "e") (i "b"))
       ~fused:fuse_f
       ~dims:(idx_list [ "b"; "e"; "f"; "l" ])
   in
   Alcotest.(check int) "B slice" 61_440 b_msg;
   let a_blk =
-    Eqs.dist_size paper_ext ~side:4
+    Eqs.dist_size_rect paper_ext ~rows:4 ~cols:4
       ~alpha:(Dist.pair (i "a") (i "k"))
       ~fused:no_fusion
       ~dims:(idx_list [ "a"; "c"; "i"; "k" ])
@@ -60,19 +63,19 @@ let test_table2_sizes () =
 let test_msg_factor () =
   (* Fused f, undistributed: communicated N_f = 64 times. *)
   Alcotest.(check int) "N_f" 64
-    (Eqs.msg_factor paper_ext ~side:4
+    (Eqs.msg_factor_rect paper_ext ~rows:4 ~cols:4
        ~alpha:(Dist.pair (i "d") (i "b"))
        ~fused:fuse_f
        ~dims:(idx_list [ "b"; "c"; "d"; "f" ]));
   (* Fused f, f distributed: N_f / sqrt(P) times. *)
   Alcotest.(check int) "N_f/sqrtP" 16
-    (Eqs.msg_factor paper_ext ~side:4
+    (Eqs.msg_factor_rect paper_ext ~rows:4 ~cols:4
        ~alpha:(Dist.pair (i "f") (i "b"))
        ~fused:fuse_f
        ~dims:(idx_list [ "b"; "c"; "d"; "f" ]));
   (* No fusion: rotated exactly once. *)
   Alcotest.(check int) "once" 1
-    (Eqs.msg_factor paper_ext ~side:4
+    (Eqs.msg_factor_rect paper_ext ~rows:4 ~cols:4
        ~alpha:(Dist.pair (i "d") (i "b"))
        ~fused:no_fusion
        ~dims:(idx_list [ "b"; "c"; "d"; "f" ]))
@@ -81,7 +84,7 @@ let test_msg_factor () =
 let test_rotate_cost_table2 () =
   let rcost = Rcost.of_params params ~side:4 in
   let b_cost =
-    Eqs.rotate_cost ~rcost paper_ext
+    Eqs.rotate_cost_rect ~rcost paper_ext
       ~alpha:(Dist.pair (i "e") (i "b"))
       ~fused:fuse_f
       ~dims:(idx_list [ "b"; "e"; "f"; "l" ])
@@ -89,7 +92,7 @@ let test_rotate_cost_table2 () =
   in
   check_close ~ctx:"B: 25.7 s" ~rel:0.01 25.7 b_cost;
   let c_cost =
-    Eqs.rotate_cost ~rcost paper_ext
+    Eqs.rotate_cost_rect ~rcost paper_ext
       ~alpha:(Dist.pair (i "k") (i "d"))
       ~fused:fuse_f
       ~dims:(idx_list [ "d"; "f"; "j"; "k" ])
@@ -97,7 +100,7 @@ let test_rotate_cost_table2 () =
   in
   check_close ~ctx:"C: 20.8 s" ~rel:0.01 20.8 c_cost;
   let t1_cost =
-    Eqs.rotate_cost ~rcost paper_ext
+    Eqs.rotate_cost_rect ~rcost paper_ext
       ~alpha:(Dist.pair (i "d") (i "b"))
       ~fused:fuse_f
       ~dims:(idx_list [ "b"; "c"; "d"; "f" ])
@@ -109,7 +112,7 @@ let test_ceil_division_overestimates () =
   let e = extents [ ("x", 5); ("y", 7) ] in
   (* 5/2 -> 3, 7/2 -> 4: the memory model rounds up. *)
   Alcotest.(check int) "ceil sizes" 12
-    (Eqs.dist_size e ~side:2
+    (Eqs.dist_size_rect e ~rows:2 ~cols:2
        ~alpha:(Dist.pair (i "x") (i "y"))
        ~fused:no_fusion ~dims:(idx_list [ "x"; "y" ]))
 

@@ -100,7 +100,8 @@ let test_rcost_save_load () =
   get_ok ~ctx:"save" (Rcost.save r ~path);
   let r' = get_ok ~ctx:"load" (Rcost.load ~path) in
   Sys.remove path;
-  Alcotest.(check int) "side" (Rcost.side r) (Rcost.side r');
+  Alcotest.(check int) "rows" (Rcost.rows r) (Rcost.rows r');
+  Alcotest.(check int) "cols" (Rcost.cols r) (Rcost.cols r');
   List.iter
     (fun words ->
       check_close ~ctx:"roundtrip query"

@@ -153,6 +153,45 @@ let test_write_chrome_json_roundtrip () =
   | Ok n -> Alcotest.failf "expected 3 events, got %d" n
   | Error m -> Alcotest.failf "file invalid: %s" m
 
+(* A recording that exports to fixed bytes: sim-clock spans (wall-clock
+   timestamps vary), a reversed span, timestamps on both sides of the
+   integer/[%.17g] boundary, counters, thread names, and names and args
+   that need escaping. [pinned_trace] pins its export byte for byte:
+   field order, escapes, number format and one event per line. *)
+let pinned_sink () =
+  let s = Obs.create () in
+  Obs.with_sink s (fun () ->
+      Obs.set_thread_name ~pid:Obs.sim_pid ~tid:1 "rank \"1\"";
+      Obs.set_thread_name ~pid:Obs.wall_pid ~tid:0 "main\tloop";
+      Obs.span_sim ~cat:"comm" ~tid:1
+        ~args:[ ("role", "A\tB"); ("note", "line1\nline2 \\ \"q\" \001\r") ]
+        "rotate:T1" ~t0:0.0 ~t1:1.5e-7;
+      Obs.span_sim ~cat:"compute" "step:T2" ~t0:0.1 ~t1:2.0;
+      Obs.span_sim ~tid:2 "far" ~t0:1e10 ~t1:2.5e10;
+      Obs.span_sim "backwards" ~t0:2.0 ~t1:1.0;
+      Obs.count ~by:3 "search.nodes";
+      Obs.count "odd \"counter\"\n");
+  s
+
+let pinned_trace =
+  {|{"traceEvents":[{"name":"rotate:T1","cat":"comm","ph":"X","ts":0,"dur":0.14999999999999999,"pid":2,"tid":1,"args":{"role":"A\tB","note":"line1\nline2 \\ \"q\" \u0001\r"}},
+{"name":"step:T2","cat":"compute","ph":"X","ts":100000,"dur":1900000,"pid":2,"tid":0},
+{"name":"far","ph":"X","ts":10000000000000000,"dur":15000000000000000,"pid":2,"tid":2},
+{"name":"backwards","ph":"X","ts":2000000,"dur":0,"pid":2,"tid":0},
+{"name":"odd \"counter\"\n","cat":"counter","ph":"C","ts":0,"pid":1,"tid":0,"args":{"value":1}},
+{"name":"search.nodes","cat":"counter","ph":"C","ts":0,"pid":1,"tid":0,"args":{"value":3}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"main\tloop"}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"rank \"1\""}},
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"wall clock"}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"simulated clock"}}]}|}
+
+let test_chrome_json_golden () =
+  let json = Obs.to_chrome_json (pinned_sink ()) in
+  Alcotest.(check string) "pinned bytes" pinned_trace json;
+  match Obs.Trace_check.validate json with
+  | Ok n -> Alcotest.(check int) "event count" 10 n
+  | Error m -> Alcotest.failf "pinned trace invalid: %s" m
+
 let check_rejected ~ctx json =
   match Obs.Trace_check.validate json with
   | Error _ -> ()
@@ -173,6 +212,22 @@ let test_trace_check_rejects_malformed () =
     {|[{"name":"x","ph":"I","ts":0,"pid":"1","tid":0}]|};
   check_rejected ~ctx:"X without dur"
     {|[{"name":"x","ph":"X","ts":0,"pid":1,"tid":0}]|}
+
+(* The checker parses with [Json], so input nested past [Json.max_depth]
+   is refused at the limit instead of being descended. *)
+let test_trace_check_refuses_deep_nesting () =
+  let deep n = String.make n '[' ^ String.make n ']' in
+  (match Obs.Trace_check.validate (deep Json.max_depth) with
+  | Error m when Astring_contains.contains m "not an object" -> ()
+  | Error m -> Alcotest.failf "%d levels: unexpected error %s" Json.max_depth m
+  | Ok _ -> Alcotest.failf "%d levels: accepted" Json.max_depth);
+  match Obs.Trace_check.validate (String.make 1_000_000 '[') with
+  | Error m ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error names the limit: %s" m)
+      true
+      (Astring_contains.contains m (string_of_int Json.max_depth))
+  | Ok _ -> Alcotest.fail "10^6 open brackets accepted"
 
 let test_trace_check_accepts_both_forms () =
   let ev = {|{"name":"x","ph":"X","ts":0,"dur":1.5,"pid":1,"tid":0}|} in
@@ -389,11 +444,14 @@ let suite =
     ( "obs.chrome",
       [
         case "exporter output validates" test_chrome_json_validates;
+        case "exporter bytes are pinned" test_chrome_json_golden;
         case "JSON string escaping" test_chrome_json_escaping;
         case "write + validate_file round-trip"
           test_write_chrome_json_roundtrip;
         case "validator rejects malformed traces"
           test_trace_check_rejects_malformed;
+        case "validator refuses nesting past Json.max_depth"
+          test_trace_check_refuses_deep_nesting;
         case "validator accepts both top-level forms"
           test_trace_check_accepts_both_forms;
       ] );
