@@ -63,14 +63,16 @@ let section title = Format.printf "@.===== %s =====@.@." title
 
 let json_int k = Json.Num (float_of_int k)
 
-(* Writes BENCH_<name>.json: "benchmark" and the host's "host_cores",
-   then [fields], one per line, then [cases] (when given) one per line. *)
+(* Writes BENCH_<name>.json: "benchmark", the host's "host_cores" and
+   the GEMM tile width the kernel ran at, "gemm_lanes", then [fields],
+   one per line, then [cases] (when given) one per line. *)
 let write_artifact name ?cases fields =
   let path = "BENCH_" ^ name ^ ".json" in
   let member key text = "  " ^ Json.to_string (Json.Str key) ^ ": " ^ text in
   let fields =
     ("benchmark", Json.Str name)
     :: ("host_cores", json_int (Domain.recommended_domain_count ()))
+    :: ("gemm_lanes", json_int (Kernel.tile_lanes ()))
     :: fields
   in
   let cases =
@@ -672,8 +674,9 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 (* Times the blocked contraction kernel against the frozen seed engine
-   ([Einsum.contract2_ref]) on CCSD-shaped and adversarial layouts, and
-   writes BENCH_kernels.json so future PRs can track the trajectory.
+   ([Einsum.contract2_ref]) on CCSD-shaped and adversarial layouts, at
+   every GEMM tile width the host runs (the widest is the headline rate),
+   and writes BENCH_kernels.json so future PRs can track the trajectory.
    Sizes are chosen to keep the reference runs near a second in total, so
    the section doubles as a CI smoke job. *)
 let kernels () =
@@ -739,12 +742,37 @@ let kernels () =
     | Kernel.Dot -> "dot"
     | Kernel.Walk -> "walk"
   in
+  let widest = Kernel.tile_lanes () in
   let rows =
     List.map
       (fun (name, out_names, a, b) ->
         let out = List.map Index.v out_names in
         let flops = Einsum.flops_contract2 ~out a b in
-        let kernel_s = time_of (fun () -> Einsum.contract2 ~out a b) in
+        let gf s = float_of_int flops /. s /. 1e9 in
+        let into = Einsum.contract2 ~out a b in
+        (* The bit contract: from the same starting output, the kernel at
+           every tile width and the walk oracle agree in every bit. *)
+        let walked = Dense.copy into in
+        Kernel.set_walk_oracle true;
+        Fun.protect
+          ~finally:(fun () -> Kernel.set_walk_oracle false)
+          (fun () -> Einsum.contract2_acc ~into:walked a b);
+        let ladder =
+          Fun.protect
+            ~finally:(fun () -> Kernel.set_tile_lanes widest)
+            (fun () ->
+              List.map
+                (fun w ->
+                  Kernel.set_tile_lanes w;
+                  let seconds = time_of (fun () -> Einsum.contract2 ~out a b) in
+                  let packed = Dense.copy into in
+                  Einsum.contract2_acc ~into:packed a b;
+                  (w, seconds, Dense.bits_equal packed walked))
+                (Kernel.supported_lanes ()))
+        in
+        let _, kernel_s, bits_equal_walk =
+          List.find (fun (w, _, _) -> w = widest) ladder
+        in
         let micro = Kernel.last_used_microkernel () in
         let kpath = Kernel.last_path () in
         let packed = Kernel.last_used_packed () in
@@ -760,23 +788,9 @@ let kernels () =
         (* Allocation of one accumulating Cannon-style step into a
            preallocated output block: must be bookkeeping-sized,
            independent of tensor extents (no per-step delta tensor). *)
-        let into = Einsum.contract2 ~out a b in
-        (* The bit contract: from the same starting output, the kernel
-           and the walk oracle agree in every bit. *)
-        let bits_equal_walk =
-          let walked = Dense.copy into in
-          Kernel.set_walk_oracle true;
-          Fun.protect
-            ~finally:(fun () -> Kernel.set_walk_oracle false)
-            (fun () -> Einsum.contract2_acc ~into:walked a b);
-          let packed = Dense.copy into in
-          Einsum.contract2_acc ~into:packed a b;
-          Dense.bits_equal packed walked
-        in
         let before = Gc.allocated_bytes () in
         Einsum.contract2_acc ~into a b;
         let acc_alloc = Gc.allocated_bytes () -. before in
-        let gf s = float_of_int flops /. s /. 1e9 in
         Format.printf
           "%-18s %8.1f MFLOP  ref %8.4f s (%6.3f GF/s)  kernel %8.5f s \
            (%6.3f GF/s)  speedup %7.1fx  path=%s packed=%b  acc-alloc %.0f B@."
@@ -784,6 +798,11 @@ let kernels () =
           (float_of_int flops /. 1e6)
           ref_s (gf ref_s) kernel_s (gf kernel_s) (ref_s /. kernel_s)
           (path_name kpath) packed acc_alloc;
+        List.iter
+          (fun (w, seconds, bits) ->
+            Format.printf "%-18s %d lanes: %6.3f GF/s, bits equal walk %b@."
+              "" w (gf seconds) bits)
+          ladder;
         [
           ("name", Json.Str name);
           ("flops", json_int flops);
@@ -796,6 +815,17 @@ let kernels () =
           ("path", Json.Str (path_name kpath));
           ("packed", Json.Bool packed);
           ("bits_equal_walk", Json.Bool bits_equal_walk);
+          ( "lanes",
+            Json.Arr
+              (List.map
+                 (fun (w, seconds, bits) ->
+                   Json.Obj
+                     [
+                       ("lanes", json_int w);
+                       ("kernel_gflops", Json.Num (gf seconds));
+                       ("bits_equal_walk", Json.Bool bits);
+                     ])
+                 ladder) );
           ("gc_minor_words", Json.Num minor_w);
           ("gc_major_words", Json.Num major_w);
           ("acc_alloc_bytes", Json.Num acc_alloc);

@@ -50,6 +50,25 @@ let last_used_packed () =
 let walk_oracle = ref false
 let set_walk_oracle b = walk_oracle := b
 
+(* The GEMM tile's vector width in doubles: the widest this CPU and OS
+   run, read once (gemm_stubs.c). Tests and benchmarks may narrow it to
+   run every width the host has; nothing else selects it. *)
+external gemm_max_lanes : unit -> int = "tce_gemm_max_lanes" [@@noalloc]
+
+let widest_lanes = gemm_max_lanes ()
+let host_lanes = List.filter (fun w -> w <= widest_lanes) [ 2; 4; 8 ]
+let lanes = ref widest_lanes
+let tile_lanes () = !lanes
+let supported_lanes () = host_lanes
+
+let set_tile_lanes w =
+  if not (List.mem w host_lanes) then
+    fail "Kernel.set_tile_lanes: %d lanes is not a tile width this host runs \
+          (%s)"
+      w
+      (String.concat ", " (List.map string_of_int host_lanes));
+  lanes := w
+
 (* ------------------------------------------------------------------ *)
 (* Canonicalization helpers                                            *)
 (* ------------------------------------------------------------------ *)
@@ -226,7 +245,8 @@ let prod dims = Array.fold_left (fun acc d -> acc * d.ext) 1 dims
    rows [ic, ic + mw) of A through [ma] and columns [jc, jc + nw) of B
    through [nb], both over summation steps [pc, pc + kw) through
    [ka]/[kb], into the [ap]/[bp] micro-panels, then accumulates their
-   product into the gathered C block [cp] (row stride [nw]). *)
+   product into the gathered C block [cp] (row stride [nw]) on the tile
+   of the last argument's width. *)
 external gemm_block :
   Dense.buf ->
   Dense.buf ->
@@ -237,6 +257,7 @@ external gemm_block :
   int array ->
   int array ->
   int array ->
+  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -261,6 +282,7 @@ external gemm_block :
 let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
     ~abase ~bbase ~cbase ~msz ~nsz ~ksz =
   let mcf = st.mcf and ncf = st.ncf and cp = st.cp in
+  let w = !lanes in
   let ic = ref 0 in
   while !ic < msz do
     let mw = min mc (msz - !ic) in
@@ -280,7 +302,7 @@ let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
       while !pc < ksz do
         let kw = min kc (ksz - !pc) in
         gemm_block abuf bbuf st.ap st.bp cp st.ma st.ka st.nb st.kb abase bbase
-          !ic !jc !pc mw nw kw;
+          !ic !jc !pc mw nw kw w;
         pc := !pc + kw
       done;
       (* Scatter the C block back. *)

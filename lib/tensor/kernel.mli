@@ -8,8 +8,10 @@
     a register-tiled kernel runs on {e every} binary contraction:
     - GEMM (innermost output dimension absent from one operand): per
       KC/MC/NC cache block, one C call packs A and B into 4-row and
-      4-column micro-panels and runs a 4×4 tile of two-lane vectors
-      over them;
+      2W-column micro-panels and runs a 4 × 2W tile of W-lane vectors
+      over them. One C body is built at W = 2 (SSE2/NEON, the baseline),
+      and on x86-64 also at W = 4 (AVX2) and W = 8 (AVX-512F); the
+      widest the CPU supports runs ({!tile_lanes});
     - Hadamard (innermost output dimension present in both): a 2×4
       OCaml tile, K unrolled by 4, over a packed B panel;
     - Dot (no output dimensions): one unrolled chain.
@@ -19,7 +21,8 @@
 
     Every flavor adds each cell's products in ascending summation order,
     each multiply and add rounded separately (the C tile is built with
-    [-ffp-contract=off]), so results are bit-identical to both the walk
+    [-ffp-contract=off] and no FMA at any width), so results are
+    bit-identical at every tile width, and to both the walk
     (on the same canonicalized dimensions) and earlier releases. A
     windowed call chooses its flavor and summation order on the strides
     its windows' block copies would have, so it is bit-identical to
@@ -88,6 +91,16 @@ val blocking : unit -> int * int * int
 (** The cache-blocking parameters [(KC, MC, NC)]: summation-strip depth,
     C-panel rows and C-panel columns per block. For bench artifacts. *)
 
+val tile_lanes : unit -> int
+(** The GEMM tile's vector width in doubles, 2, 4 or 8: the widest in
+    {!supported_lanes} unless {!set_tile_lanes} narrowed it. *)
+
+val supported_lanes : unit -> int list
+(** The tile widths this host runs, ascending: [[2]], [[2; 4]] or
+    [[2; 4; 8]]. Read once from the CPU at start-up: 4 needs AVX2 and 8
+    needs AVX-512F on x86-64, each with the OS saving the wider
+    registers. *)
+
 (** {2 Knobs} *)
 
 val set_walk_oracle : bool -> unit
@@ -96,3 +109,10 @@ val set_walk_oracle : bool -> unit
     packed paths reproduce the walk's accumulation order exactly, so
     pack ≡ walk {b bit-for-bit}; the property suite sweeps this. Global,
     not per-domain; for tests only. Default [false]. *)
+
+val set_tile_lanes : int -> unit
+(** Run subsequent GEMM blocks on the tile of [w] lanes, so tests and
+    benchmarks can cover every width the host supports; nothing else
+    selects the width. Every width gives the same bits. Global, not
+    per-domain. Raises [Tce_error.Error] when [w] is not in
+    {!supported_lanes}. *)

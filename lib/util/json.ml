@@ -157,20 +157,34 @@ let parse_exn s =
     in
     go ()
   in
+  (* RFC 8259's number grammar: an optional minus, then 0 or a digit
+     run not starting with 0, then optionally a point and digits, then
+     optionally e or E, an optional sign and digits. It is checked
+     before [float_of_string] sees the text, which would also take "+1",
+     ".5", "1." and "01". A leading zero ends the integer part, so "01"
+     fails on the digit after it. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      let from = !pos in
+      while match peek () with Some '0' .. '9' -> true | _ -> false do
+        advance ()
+      done;
+      if !pos = from then fail "bad number"
     in
-    while !pos < len && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let span = String.sub s start (!pos - start) in
-    match float_of_string_opt span with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then advance () else digits ();
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits ()
+    | _ -> ());
+    Num (float_of_string (String.sub s start (!pos - start)))
   in
   (* [depth] counts the arrays and objects around a value. Refusing a
      container past [max_depth] bounds the recursion, and with it the

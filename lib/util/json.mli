@@ -29,9 +29,10 @@ val max_depth : int
 
 val parse_exn : string -> t
 (** Strict parse of exactly one JSON value (leading/trailing whitespace
-    allowed, trailing garbage rejected). Raises {!Parse_error} — also
-    for a value nested deeper than {!max_depth}, with a message naming
-    the limit. *)
+    allowed, trailing garbage rejected). Numbers follow RFC 8259's
+    grammar, so [+1], [.5], [1.], [01], [-], [1e] and [--1] are refused.
+    Raises {!Parse_error} — also for a value nested deeper than
+    {!max_depth}, with a message naming the limit. *)
 
 val parse : string -> (t, string) result
 

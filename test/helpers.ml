@@ -143,3 +143,16 @@ let on_domains fs =
   |> List.map (function Ok v -> v | Error e -> raise e)
 
 let case name f = Alcotest.test_case name `Quick f
+
+(* Run [f] once at each GEMM tile width the host supports, the width
+   set in [Kernel] while [f w] runs, then restore the host's own. *)
+let at_every_width f =
+  let own = Kernel.tile_lanes () in
+  Fun.protect
+    ~finally:(fun () -> Kernel.set_tile_lanes own)
+    (fun () ->
+      List.iter
+        (fun w ->
+          Kernel.set_tile_lanes w;
+          f w)
+        (Kernel.supported_lanes ()))

@@ -211,7 +211,9 @@ let test_trace_check_rejects_malformed () =
   check_rejected ~ctx:"string pid"
     {|[{"name":"x","ph":"I","ts":0,"pid":"1","tid":0}]|};
   check_rejected ~ctx:"X without dur"
-    {|[{"name":"x","ph":"X","ts":0,"pid":1,"tid":0}]|}
+    {|[{"name":"x","ph":"X","ts":0,"pid":1,"tid":0}]|};
+  check_rejected ~ctx:"number outside RFC 8259"
+    {|[{"name":"x","ph":"I","ts":+1,"pid":1,"tid":0}]|}
 
 (* The checker parses with [Json], so input nested past [Json.max_depth]
    is refused at the limit instead of being descended. *)

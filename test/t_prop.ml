@@ -236,12 +236,13 @@ let windows_block ~seed ~count () =
    production pack path and once through the walk oracle (which runs on
    the same canonicalized dimension lists) and compares bit patterns. *)
 let pack_vs_walk_block ~seed ~count () =
+  at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed in
   Fun.protect
     ~finally:(fun () -> Kernel.set_walk_oracle false)
     (fun () ->
       for case = 1 to count do
-        let ctx = Printf.sprintf "seed %d case %d" seed case in
+        let ctx = Printf.sprintf "%d lanes, seed %d case %d" lanes seed case in
         let a, b, out, extents = random_instance prng in
         let into0 =
           let t =
@@ -267,12 +268,13 @@ let pack_vs_walk_block ~seed ~count () =
 (* Same bit-for-bit claim with pinned-slab base offsets on all three
    tensors: packing must respect the slab bases exactly. *)
 let pack_vs_walk_pins_block ~seed ~count () =
+  at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed in
   Fun.protect
     ~finally:(fun () -> Kernel.set_walk_oracle false)
     (fun () ->
       for case = 1 to count do
-        let ctx = Printf.sprintf "seed %d case %d" seed case in
+        let ctx = Printf.sprintf "%d lanes, seed %d case %d" lanes seed case in
         let a, b, out, extents = random_instance prng in
         let xa = Index.v "xa" and xb = Index.v "xb" and xo = Index.v "xo" in
         let ea = 2 + Prng.int prng ~bound:2
@@ -314,15 +316,17 @@ let pack_vs_walk_pins_block ~seed ~count () =
             ctx
       done)
 
-(* GEMM shapes at the edges of the 4 × 4 register tile (M, N in
-   {1, 3, 4, 5}) and one past each cache block (M = 65 > MC, N = 513 > NC,
+(* GEMM shapes at the edges of the 4 × 2W register tile at every width
+   (M, N in {1, 3, 4, 5, 7, 8, 9, 15, 16, 17}: one below, at and above
+   4, 8 and 16) and one past each cache block (M = 65 > MC, N = 513 > NC,
    K = 257 > KC), which the random instances above (extents <= 8) rarely
    reach; every value appears in some shape. Each shape runs in both
    operand orders (B·A takes the flipped GEMM arm) and once between
    pinned slabs, the C slab's label innermost so C is strided, each from
    a random starting output, and must match the walk oracle bit for
-   bit. *)
+   bit, at every tile width the host supports. *)
 let gemm_edges () =
+  at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed:5201 in
   let i = Index.v "i" and j = Index.v "j" and k = Index.v "k" in
   let xa = Index.v "xa" and xo = Index.v "xo" in
@@ -348,7 +352,7 @@ let gemm_edges () =
   in
   List.iter
     (fun (m, n, kk) ->
-      let ctx = Printf.sprintf "M=%d N=%d K=%d" m n kk in
+      let ctx = Printf.sprintf "%d lanes, M=%d N=%d K=%d" lanes m n kk in
       let a = random [ (i, m); (k, kk) ] and b = random [ (k, kk); (j, n) ] in
       let c0 = random [ (i, m); (j, n) ] in
       against_walk (ctx ^ " A·B") (fun into -> Kernel.contract_acc ~into a b) c0;
@@ -361,8 +365,28 @@ let gemm_edges () =
         (random [ (i, m); (j, n); (xo, 3) ]))
     [
       (1, 513, 3); (3, 4, 257); (4, 3, 1); (5, 1, 257); (65, 5, 3);
-      (65, 513, 257);
+      (65, 513, 257); (7, 16, 3); (8, 17, 257); (9, 15, 1); (15, 8, 3);
+      (16, 9, 5); (17, 7, 257); (513, 65, 3);
     ]
+
+(* The tile widths are 2, 4 and 8 lanes, of which the host runs a prefix
+   with its widest as the default; [set_tile_lanes] refuses any other
+   width, or one the CPU lacks, with a typed error and keeps the width
+   it had. The case's name lists the widths the other kernel cases ran. *)
+let tile_widths () =
+  let own = Kernel.tile_lanes () and host = Kernel.supported_lanes () in
+  Alcotest.(check bool) "a prefix of 2, 4, 8" true
+    (List.mem host [ [ 2 ]; [ 2; 4 ]; [ 2; 4; 8 ] ]);
+  Alcotest.(check int) "the widest is the default" (List.fold_left max 2 host)
+    own;
+  List.iter
+    (fun w ->
+      match Kernel.set_tile_lanes w with
+      | exception Tce_error.Error (Tce_error.Msg _) ->
+        Alcotest.(check int) (Printf.sprintf "%d lanes refused, width kept" w)
+          own (Kernel.tile_lanes ())
+      | () -> Alcotest.failf "%d lanes accepted" w)
+    ([ 3; 16; 0; -4 ] @ List.filter (fun w -> not (List.mem w host)) [ 4; 8 ])
 
 (* ---------------- differential: model vs replay ---------------- *)
 
@@ -601,6 +625,11 @@ let suite =
           (pack_vs_walk_pins_block ~seed:5101 ~count:25);
         case "GEMM tile and block edges == walk oracle, bit-for-bit"
           gemm_edges;
+        case
+          (Printf.sprintf "tile widths run: %s lanes; 3 and 16 refused typed"
+             (String.concat ", "
+                (List.map string_of_int (Kernel.supported_lanes ()))))
+          tile_widths;
       ] );
     ( "prop.differential",
       [

@@ -476,6 +476,19 @@ let test_multicore_teams_bit_identical () =
             [ "caller's team"; "caller's team, reused" ]))
     [ (2, 2); (2, 3) ]
 
+(* The exchanges one pass of [v]'s schedule makes on [grid], summed
+   over its steps and every rank: one send and one receive each. *)
+let scheduled_exchanges grid v =
+  let sched = Schedule.make v grid in
+  List.fold_left
+    (fun n step ->
+      List.fold_left
+        (fun n (z1, z2) ->
+          n + List.length (Schedule.shifts_after sched ~step ~z1 ~z2))
+        n (Grid.coords grid))
+    0
+    (List.init (Schedule.steps sched) Fun.id)
+
 (* The executor moves exactly the blocks its schedule lists: one
    message per exchange, none along a length-1 axis and none after the
    final step. On a square grid that is 2·(side − 1) blocks per rank. *)
@@ -510,24 +523,15 @@ let test_multicore_sends_scheduled_shifts () =
               let counter name =
                 Option.value ~default:0 (List.assoc_opt name (Obs.counters s))
               in
-              let sched = Schedule.make v grid in
-              let scheduled = ref 0 in
-              for step = 0 to Schedule.steps sched - 1 do
-                List.iter
-                  (fun (z1, z2) ->
-                    scheduled :=
-                      !scheduled
-                      + List.length (Schedule.shifts_after sched ~step ~z1 ~z2))
-                  (Grid.coords grid)
-              done;
-              Alcotest.(check int) (ctx ^ ": sends") !scheduled
+              let scheduled = scheduled_exchanges grid v in
+              Alcotest.(check int) (ctx ^ ": sends") scheduled
                 (counter "spmd.sends");
-              Alcotest.(check int) (ctx ^ ": recvs") !scheduled
+              Alcotest.(check int) (ctx ^ ": recvs") scheduled
                 (counter "spmd.recvs");
               if Grid.is_square grid then
                 Alcotest.(check int) (ctx ^ ": 2(side-1) per rank")
                   (2 * Grid.procs grid * (rows - 1))
-                  !scheduled)
+                  scheduled)
             (Variant.all c)))
     [ (1, 1); (2, 2); (3, 3); (1, 2); (2, 1); (2, 3); (2, 4) ]
 
@@ -587,10 +591,11 @@ let bits_digest t =
     0xcbf29ce484222325L (Dense.to_floats t)
 
 (* The executor's output bits on the small CCSD plan, pinned per grid
-   shape (square and rectangular). Any rewrite of the Cannon executor
-   must reproduce them exactly: it multiplies the same blocks in the same
-   order. Only a deliberate change to the kernel's arithmetic may re-pin
-   these digests, with a CHANGES.md note saying why. *)
+   shape (square and rectangular), at every GEMM tile width the host
+   supports. Any rewrite of the Cannon executor must reproduce them
+   exactly: it multiplies the same blocks in the same order. Only a
+   deliberate change to the kernel's arithmetic may re-pin these
+   digests, with a CHANGES.md note saying why. *)
 let test_multicore_plan_bits_pinned () =
   let problem, seq, tree = ccsd ~scale:`Small in
   let ext = problem.Problem.extents in
@@ -609,8 +614,9 @@ let test_multicore_plan_bits_pinned () =
       Alcotest.failf "%dx%d: result diverges from the reference" rows cols;
     (Printf.sprintf "%dx%d" rows cols, bits_digest got)
   in
+  at_every_width @@ fun lanes ->
   Alcotest.(check (list (pair string int64)))
-    "pinned digests"
+    (Printf.sprintf "pinned digests at %d lanes" lanes)
     [
       ("2x2", 1149507191540658107L);
       ("3x3", -299483454052369335L);
@@ -719,8 +725,9 @@ let test_fused_example_pinned () =
    square and R x C grids: plans whose intermediates are fused with
    their consumers (forcing loops), and plans that fuse only leaf
    edges. Each must compute the reference values, execute exactly the
-   rotations the model charges, and keep every rank within the plan's
-   memory account. *)
+   rotations the model charges, send exactly its schedules' exchanges
+   once per pass, and keep every rank within the plan's memory
+   account. *)
 let test_fused_plan_sweep () =
   let forcing =
     [
@@ -754,7 +761,11 @@ let test_fused_plan_sweep () =
                (Index.Set.is_empty
                   (Index.Set.union s.Plan.fusion_left s.Plan.fusion_right))));
       let inputs = Sequence.random_inputs ext ~seed:(100 + k) seq in
-      let st = Multicore.run_plan_stats grid ext plan ~inputs in
+      let sink = Obs.create () in
+      let st =
+        Obs.with_sink sink (fun () ->
+            Multicore.run_plan_stats grid ext plan ~inputs)
+      in
       if
         not
           (Dense.equal_approx ~tol:1e-9 (Sequence.eval ext ~inputs seq)
@@ -762,6 +773,54 @@ let test_fused_plan_sweep () =
       then Alcotest.failf "%s: output differs from the reference" ctx;
       Alcotest.(check int) (ctx ^ ": rotations") (msg_factors grid ext plan)
         st.Multicore.sliced_rotations;
+      (* A step runs one pass (one [contraction:<out>] span) per value of
+         its forcing loops: its parent edge's fusion and that of each
+         stored operand. Every pass sends and receives its schedule's
+         exchanges, no more. *)
+      let counter name =
+        Option.value ~default:0 (List.assoc_opt name (Obs.counters sink))
+      in
+      let stored aref =
+        let name = Aref.name aref in
+        List.exists
+          (fun (s : Plan.step) -> Aref.name s.contraction.out = name)
+          plan.Plan.steps
+        || List.exists
+             (fun (ps : Plan.presum) -> Aref.name ps.out = name)
+             plan.Plan.presums
+      in
+      let passes, sends =
+        List.fold_left
+          (fun (passes, sends) (step : Plan.step) ->
+            let forcing =
+              List.fold_left
+                (fun acc (role, fused) ->
+                  if stored (Variant.aref_of step.variant role) then
+                    Index.Set.union acc fused
+                  else acc)
+                step.fusion_out
+                [
+                  (Variant.Left, step.fusion_left);
+                  (Variant.Right, step.fusion_right);
+                ]
+            in
+            let n =
+              Index.Set.fold (fun i n -> n * Extents.extent ext i) forcing 1
+            in
+            let span = "contraction:" ^ Aref.name step.contraction.out in
+            Alcotest.(check int) (ctx ^ ": passes of " ^ span) n
+              (List.length
+                 (List.filter
+                    (fun (e : Obs.event) -> e.name = span)
+                    (Obs.events sink)));
+            (passes + n, sends + (n * scheduled_exchanges grid step.variant)))
+          (0, 0) plan.Plan.steps
+      in
+      Alcotest.(check int) (ctx ^ ": events kept") 0 (Obs.dropped sink);
+      Alcotest.(check int) (ctx ^ ": passes") passes
+        (counter "multicore.contractions");
+      Alcotest.(check int) (ctx ^ ": sends") sends (counter "spmd.sends");
+      Alcotest.(check int) (ctx ^ ": recvs") sends (counter "spmd.recvs");
       if st.Multicore.peak_words_per_proc > budget plan then
         Alcotest.failf "%s: per-rank peak %d above the account %d" ctx
           st.Multicore.peak_words_per_proc (budget plan))

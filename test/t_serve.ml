@@ -116,12 +116,32 @@ let test_json_roundtrip () =
     (Json.parse_exn (Json.to_string v) = v)
 
 let test_json_rejects_garbage () =
+  let numbers = [ "+1"; ".5"; "1."; "01"; "-"; "1e"; "--1" ] in
   List.iter
     (fun s ->
       match Json.parse s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
-    [ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "1 2"; "\"unterminated" ]
+    ([ ""; "{"; "[1,"; "nul"; "{\"a\"}"; "1 2"; "\"unterminated" ]
+    @ numbers
+    @ List.map (Printf.sprintf "[%s]") numbers);
+  (* The grammar's own edge forms still parse. *)
+  List.iter
+    (fun (s, f) ->
+      match Json.parse s with
+      | Ok (Json.Num g) when Float.equal f g -> ()
+      | _ -> Alcotest.failf "%S does not parse to %g" s f)
+    [
+      ("0", 0.); ("-0", -0.); ("0.5", 0.5); ("1E+2", 100.);
+      ("-1.25e-3", -0.00125); ("10", 10.);
+    ];
+  (* Off-grammar numbers in a request answer a typed parse_error. *)
+  with_server (default_cfg ()) (fun server ->
+      List.iter
+        (fun n ->
+          let r = call server (Printf.sprintf {|{"id":%s,"op":"health"}|} n) in
+          Alcotest.(check string) (n ^ ": kind") "parse_error" (error_kind r))
+        numbers)
 
 (* Nesting is refused one level past [Json.max_depth], with a typed
    error naming the limit; arrays and objects count alike. *)
