@@ -4,11 +4,10 @@
    evaluation plus the sweeps implied by its narrative, and validates the
    plans numerically; individual sections can be selected:
 
-     dune exec bench/main.exe                      # everything except micro
+     dune exec bench/main.exe                      # the paper sections
      dune exec bench/main.exe -- table1 table2
      dune exec bench/main.exe -- fig1 fig2 sweep-procs sweep-memory
      dune exec bench/main.exe -- validate ablation
-     dune exec bench/main.exe -- micro             # bechamel micro-benchmarks
 
    See DESIGN.md section 3 for the experiment index and EXPERIMENTS.md for
    the recorded paper-vs-model numbers. *)
@@ -582,94 +581,6 @@ let csv () =
   write "sweep_memory.csv" memsweep
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (bechamel, OLS ns/run)";
-  let open Bechamel in
-  let problem, _, tree = load ccsd_text in
-  let ext = problem.Problem.extents in
-  let sproblem, sseq, stree = load ccsd_small_text in
-  let sext = sproblem.Problem.extents in
-  let _, cfg16 = config 16 in
-  let _, cfg64 = config 64 in
-  let inputs = Sequence.random_inputs sext ~seed:1 sseq in
-  let plan_small =
-    let _, cfg = config 4 in
-    Result.get_ok (Search.optimize cfg sext stree)
-  in
-  let four_factor =
-    {
-      Problem.lhs =
-        Aref.v "S" (List.map Index.v [ "a"; "b"; "i"; "j" ]);
-      sum = List.map Index.v [ "c"; "d"; "e"; "f"; "k"; "l" ];
-      terms =
-        [
-          Aref.v "A" (List.map Index.v [ "a"; "c"; "i"; "k" ]);
-          Aref.v "B" (List.map Index.v [ "b"; "e"; "f"; "l" ]);
-          Aref.v "C" (List.map Index.v [ "d"; "f"; "j"; "k" ]);
-          Aref.v "D" (List.map Index.v [ "c"; "d"; "e"; "l" ]);
-        ];
-    }
-  in
-  let tests =
-    Test.make_grouped ~name:"tce"
-      [
-        Test.make ~name:"search-table1-64procs"
-          (Staged.stage (fun () -> ignore (Search.optimize cfg64 ext tree)));
-        Test.make ~name:"search-table2-16procs"
-          (Staged.stage (fun () -> ignore (Search.optimize cfg16 ext tree)));
-        Test.make ~name:"memmin-fusion"
-          (Staged.stage (fun () -> ignore (Memmin.minimize ext tree)));
-        Test.make ~name:"opmin-4-factor"
-          (Staged.stage (fun () ->
-               let counter = ref 0 in
-               let fresh () =
-                 incr counter;
-                 Printf.sprintf "T__%d" !counter
-               in
-               ignore (Opmin.optimize_def ext ~fresh four_factor)));
-        Test.make ~name:"simulate-plan-replay"
-          (Staged.stage (fun () ->
-               ignore (Simulate.run_plan_exn params sext plan_small)));
-        Test.make ~name:"einsum-small-contraction"
-          (Staged.stage (fun () ->
-               ignore
-                 (Einsum.contract2
-                    ~out:(List.map Index.v [ "b"; "c"; "d"; "f" ])
-                    (List.assoc "B" inputs) (List.assoc "D" inputs))));
-        Test.make ~name:"rcost-characterize-side8"
-          (Staged.stage (fun () -> ignore (Rcost.of_params params ~side:8)));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name res acc ->
-        let est =
-          match Analyze.OLS.estimates res with
-          | Some (e :: _) -> e
-          | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) ->
-      if ns >= 1e9 then Format.printf "%-32s %10.3f  s/run@." name (ns /. 1e9)
-      else if ns >= 1e6 then
-        Format.printf "%-32s %10.3f ms/run@." name (ns /. 1e6)
-      else Format.printf "%-32s %10.3f us/run@." name (ns /. 1e3))
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* Kernel benchmarks                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -689,7 +600,7 @@ let kernels () =
   in
   let time_of f =
     (* Adaptive repetition: double the run count until the measurement is
-       long enough to trust, then report seconds per run. Best of three
+       long enough to trust, then report seconds per run. Best of seven
        such measurements, so the committed artifact (and the CI gates on
        it) sit on the steady-state rate rather than scheduler noise. *)
     ignore (f ());
@@ -701,7 +612,7 @@ let kernels () =
       let dt = Sys.time () -. t0 in
       if dt >= 0.2 || n >= 4096 then dt /. float_of_int n else go (n * 2)
     in
-    min (go 1) (min (go 1) (go 1))
+    List.fold_left Float.min infinity (List.init 7 (fun _ -> go 1))
   in
   let cases =
     [
@@ -724,24 +635,18 @@ let kernels () =
         mk [ ("l", 10); ("b", 14); ("e", 10); ("f", 10) ],
         mk [ ("e", 10); ("c", 14); ("l", 10); ("d", 14) ] );
       (* Innermost output dimension present in both operands: no (M,N,K)
-         form exists; the packed Hadamard flavor must keep this within
-         ~2x of the coalescible cases instead of the old 5x walk cliff.
-         Extents are chosen L2-resident like the CCSD cases: the flavor
-         reads each A element exactly once (2 flops/element arithmetic
-         intensity), so a DRAM-sized A would measure stream bandwidth,
-         not the kernel. *)
+         form exists, so the stride walk runs it. No plan executes this
+         shape (the Cannon template rejects it); the case tracks the
+         walk's rate and its bits. Extents are chosen L2-resident like
+         the CCSD cases: each A element feeds one multiply-add, so a
+         DRAM-sized A would measure stream bandwidth, not the kernel. *)
       ( "noncoalescible",
         [ "m"; "x" ],
         mk [ ("m", 32); ("k", 64); ("x", 64) ],
         mk [ ("k", 64); ("x", 64) ] );
     ]
   in
-  let path_name = function
-    | Kernel.Gemm -> "gemm"
-    | Kernel.Hadamard -> "hadamard"
-    | Kernel.Dot -> "dot"
-    | Kernel.Walk -> "walk"
-  in
+  let path_name = function Kernel.Gemm -> "gemm" | Kernel.Walk -> "walk" in
   let widest = Kernel.tile_lanes () in
   let rows =
     List.map
@@ -765,17 +670,15 @@ let kernels () =
                 (fun w ->
                   Kernel.set_tile_lanes w;
                   let seconds = time_of (fun () -> Einsum.contract2 ~out a b) in
-                  let packed = Dense.copy into in
-                  Einsum.contract2_acc ~into:packed a b;
-                  (w, seconds, Dense.bits_equal packed walked))
+                  let ran = Dense.copy into in
+                  Einsum.contract2_acc ~into:ran a b;
+                  (w, seconds, Dense.bits_equal ran walked))
                 (Kernel.supported_lanes ()))
         in
         let _, kernel_s, bits_equal_walk =
           List.find (fun (w, _, _) -> w = widest) ladder
         in
-        let micro = Kernel.last_used_microkernel () in
         let kpath = Kernel.last_path () in
-        let packed = Kernel.last_used_packed () in
         (* GC pressure of one kernel run: minor/major words allocated.
            Packing reuses grow-only domain scratch, so after warmup this
            is the output tensor plus bookkeeping only. *)
@@ -793,11 +696,11 @@ let kernels () =
         let acc_alloc = Gc.allocated_bytes () -. before in
         Format.printf
           "%-18s %8.1f MFLOP  ref %8.4f s (%6.3f GF/s)  kernel %8.5f s \
-           (%6.3f GF/s)  speedup %7.1fx  path=%s packed=%b  acc-alloc %.0f B@."
+           (%6.3f GF/s)  speedup %7.1fx  path=%s  acc-alloc %.0f B@."
           name
           (float_of_int flops /. 1e6)
           ref_s (gf ref_s) kernel_s (gf kernel_s) (ref_s /. kernel_s)
-          (path_name kpath) packed acc_alloc;
+          (path_name kpath) acc_alloc;
         List.iter
           (fun (w, seconds, bits) ->
             Format.printf "%-18s %d lanes: %6.3f GF/s, bits equal walk %b@."
@@ -811,9 +714,7 @@ let kernels () =
           ("ref_gflops", Json.Num (gf ref_s));
           ("kernel_gflops", Json.Num (gf kernel_s));
           ("speedup", Json.Num (ref_s /. kernel_s));
-          ("microkernel", Json.Bool micro);
           ("path", Json.Str (path_name kpath));
-          ("packed", Json.Bool packed);
           ("bits_equal_walk", Json.Bool bits_equal_walk);
           ( "lanes",
             Json.Arr
@@ -1518,7 +1419,6 @@ let sections =
     ("machines", machines);
     ("csv", csv);
     ("validate", validate);
-    ("micro", micro);
     ("kernels", kernels);
     ("spmd", spmd);
     ("trace", trace);

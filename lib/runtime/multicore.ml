@@ -98,8 +98,7 @@ let prepare grid ext variant =
    then exchange. Labels that [assign] binds — the values of the
    enclosing fused loops, never distributed — are pinned in every tensor
    that carries them, so one pass reads and writes one slab of each. *)
-let cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left ~right
-    ~into =
+let cannon ~pool grid ext variant sched ~assign ~left ~right ~into =
   if Obs.enabled () then Obs.count "multicore.contractions";
   let steps = Schedule.steps sched in
   let omega = Variant.rot_index variant in
@@ -180,9 +179,7 @@ let cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left ~right
         Grid.rank_of grid (Grid.shift grid (z1, z2) ~axis ~by)
       in
       let cell = cell_of role in
-      cell :=
-        Spmd.sendrecv ?timeout_s:recv_timeout_s ctx ~dst:(neighbour (-1))
-          !cell ~src:(neighbour 1)
+      cell := Spmd.sendrecv ctx ~dst:(neighbour (-1)) !cell ~src:(neighbour 1)
     in
     for step = 0 to steps - 1 do
       multiply ~step;
@@ -193,7 +190,7 @@ let cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left ~right
   let (_ : unit array) = Spmd.Pool.run pool worker in
   ()
 
-let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
+let run_contraction ?pool grid ext variant ~left ~right =
   check_pool grid pool;
   let sched = prepare grid ext variant in
   let into =
@@ -203,8 +200,8 @@ let run_contraction ?pool ?recv_timeout_s grid ext variant ~left ~right =
          (Aref.indices (Variant.aref_of variant Variant.Out)))
   in
   with_team ?pool grid (fun pool ->
-      cannon ~pool ?recv_timeout_s grid ext variant sched
-        ~assign:Index.Map.empty ~left ~right ~into);
+      cannon ~pool grid ext variant sched ~assign:Index.Map.empty ~left ~right
+        ~into);
   into
 
 (* ---------------- Plans ---------------- *)
@@ -245,8 +242,7 @@ let iter_assignments ext indices ~base f =
    until a different slice is asked for or its consumer is done with
    it. A step's output exists before its operands are computed, as it
    must when fused loops accumulate into it. *)
-let run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t)
-    ~inputs =
+let run_plan_stats ?pool ?on_free grid ext (plan : Plan.t) ~inputs =
   check_pool grid pool;
   let root =
     match List.rev plan.steps with
@@ -428,8 +424,7 @@ let run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t)
           let left = operand Variant.Left in
           let right = operand Variant.Right in
           let pass () =
-            cannon ~pool ?recv_timeout_s grid ext variant sched ~assign ~left
-              ~right ~into
+            cannon ~pool grid ext variant sched ~assign ~left ~right ~into
           in
           if Obs.enabled () then
             Obs.span ~cat:"plan" ("contraction:" ^ Aref.name out) pass
@@ -451,5 +446,5 @@ let run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext (plan : Plan.t)
   let result = with_team ?pool grid execute in
   { result; peak_words_per_proc = !peak; sliced_rotations = !rotations }
 
-let run_plan ?pool ?recv_timeout_s ?on_free grid ext plan ~inputs =
-  (run_plan_stats ?pool ?recv_timeout_s ?on_free grid ext plan ~inputs).result
+let run_plan ?pool ?on_free grid ext plan ~inputs =
+  (run_plan_stats ?pool ?on_free grid ext plan ~inputs).result

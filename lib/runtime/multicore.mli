@@ -28,10 +28,10 @@
     fused index that a distribution splits, or a fused loop that does
     not slice a rotated array of its step.
 
-    Crash safety comes from the {!Spmd} layer: a domain that raises (or a
-    receive that exceeds [?recv_timeout_s]) poisons the team, every peer
-    unwinds, and the call fails with [Spmd.Spmd_aborted] instead of
-    hanging; a pooled team survives the abort ready for the next step.
+    Crash safety comes from the {!Spmd} layer: a domain that raises
+    poisons the team, every peer unwinds, and the call fails with
+    [Spmd.Spmd_aborted] instead of hanging; a pooled team survives the
+    abort ready for the next step.
     Missing inputs are reported as [Tce_error.Error (Missing_tensor _)]
     before any step runs. *)
 
@@ -42,16 +42,14 @@ type block
     of an operand or of the result — the {!Spmd.Pool} message type. *)
 
 val run_contraction :
-  ?pool:block Spmd.Pool.t -> ?recv_timeout_s:float -> Grid.t -> Extents.t
-  -> Variant.t -> left:Dense.t -> right:Dense.t -> Dense.t
+  ?pool:block Spmd.Pool.t -> Grid.t -> Extents.t -> Variant.t
+  -> left:Dense.t -> right:Dense.t -> Dense.t
 (** One contraction, one domain per processor. The operand tensors are
     full (undistributed) and only read; the result is the full output,
     which the ranks fill in place. [?pool] reuses a persistent team (its
     size must match the grid; [Tce_error.Error] otherwise); without it a
-    team is made for the call and closed after it. [?recv_timeout_s]
-    bounds every block receive; on expiry the run aborts with
-    [Spmd.Spmd_aborted] wrapping a [Spmd.Recv_timeout]. An extent below
-    its grid axis length is a [Tce_error.Error]. *)
+    team is made for the call and closed after it. An extent below its
+    grid axis length is a [Tce_error.Error]. *)
 
 type stats = {
   result : Dense.t;  (** the plan's output *)
@@ -67,9 +65,8 @@ type stats = {
 }
 
 val run_plan_stats :
-  ?pool:block Spmd.Pool.t -> ?recv_timeout_s:float
-  -> ?on_free:(string -> unit) -> Grid.t -> Extents.t -> Plan.t
-  -> inputs:(string * Dense.t) list -> stats
+  ?pool:block Spmd.Pool.t -> ?on_free:(string -> unit) -> Grid.t
+  -> Extents.t -> Plan.t -> inputs:(string * Dense.t) list -> stats
 (** Execute the plan, with its fusion, on one persistent {!Spmd.Pool}
     team: [?pool] when given (not closed by this call), else a team
     created for the call. Each intermediate is dropped after its last
@@ -78,7 +75,6 @@ val run_plan_stats :
     final output is never dropped. *)
 
 val run_plan :
-  ?pool:block Spmd.Pool.t -> ?recv_timeout_s:float
-  -> ?on_free:(string -> unit) -> Grid.t -> Extents.t -> Plan.t
-  -> inputs:(string * Dense.t) list -> Dense.t
+  ?pool:block Spmd.Pool.t -> ?on_free:(string -> unit) -> Grid.t
+  -> Extents.t -> Plan.t -> inputs:(string * Dense.t) list -> Dense.t
 (** {!run_plan_stats}'s [result]. *)

@@ -52,8 +52,6 @@ let size t = A1.dim t.data
 
 (* Flat-buffer view: the live storage, for the kernel layer. *)
 let buf t = t.data
-let extents_arr t = Array.copy t.ext
-let strides_arr t = Array.copy t.strides
 let unsafe_get t o = A1.unsafe_get t.data o
 let unsafe_set t o v = A1.unsafe_set t.data o v
 
@@ -344,15 +342,3 @@ let equal_approx ?(tol = 1e-9) a b =
     if Float.abs (va -. vb) > tol *. scale then ok := false
   done;
   !ok
-
-let to_list t =
-  let acc = ref [] in
-  iteri t ~f:(fun m v -> acc := (m, v) :: !acc);
-  List.rev !acc
-
-let pp ppf t =
-  Format.fprintf ppf "T[%a] |.|=%g"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       (fun ppf (l, e) -> Format.fprintf ppf "%a:%d" Index.pp l e))
-    (dims t) (frobenius t)

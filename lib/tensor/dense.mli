@@ -72,12 +72,6 @@ val bits_equal : t -> t -> bool
     comparison, so NaNs compare by payload and [-0.] differs from
     [0.]). *)
 
-val extents_arr : t -> int array
-(** Extents in storage order (a fresh copy). *)
-
-val strides_arr : t -> int array
-(** Row-major strides in storage order (a fresh copy). *)
-
 val unsafe_get : t -> int -> float
 (** Element at a flat offset; no bounds check. *)
 
@@ -149,10 +143,3 @@ val set_block : t -> (Index.t * int) list -> t -> unit
 
 val add_block : t -> (Index.t * int) list -> t -> unit
 (** Like {!set_block} but accumulates instead of overwriting. *)
-
-val to_list : t -> (int Index.Map.t * float) list
-(** All elements with coordinates, row-major; for tests on small tensors. *)
-
-val pp : Format.formatter -> t -> unit
-(** Shape-and-norm summary, e.g. [T\[b:4,c:4\] |.|=3.2]; does not print
-    elements. *)

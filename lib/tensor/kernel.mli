@@ -3,30 +3,39 @@
     Canonicalizes a contraction [C(out) += Σ A·B] by stride pattern:
     each joint dimension is classified purely by its strides across the
     three tensors, extent-1 dimensions are dropped, and adjacent
-    dimensions that are jointly contiguous are coalesced. The result is
-    dispatched to one of three pack → microkernel → unpack flavors, so
-    a register-tiled kernel runs on {e every} binary contraction:
-    - GEMM (innermost output dimension absent from one operand): per
-      KC/MC/NC cache block, one C call packs A and B into 4-row and
-      2W-column micro-panels and runs a 4 × 2W tile of W-lane vectors
-      over them. One C body is built at W = 2 (SSE2/NEON, the baseline),
-      and on x86-64 also at W = 4 (AVX2) and W = 8 (AVX-512F); the
-      widest the CPU supports runs ({!tile_lanes});
-    - Hadamard (innermost output dimension present in both): a 2×4
-      OCaml tile, K unrolled by 4, over a packed B panel;
-    - Dot (no output dimensions): one unrolled chain.
-    Noncoalescible operand layouts are copy-packed through flat offset
-    tables, amortized over the cache blocking. The generic stride walk
-    survives only as a debug oracle behind {!set_walk_oracle}.
+    dimensions that are jointly contiguous are coalesced. The output's
+    innermost iterated dimension then picks one of two paths:
+    - GEMM, when that dimension is carried by exactly one operand, or
+      has no unit stride in the output's storage (dimensions both
+      operands carry are then batch dimensions, walked outside the
+      block): per KC/MC/NC cache block, one C call packs A and B into
+      4-row and 2W-column micro-panels and runs a 4 × 2W tile of W-lane
+      vectors over them. One C body is built at W = 2 (SSE2/NEON, the
+      baseline), and on x86-64 also at W = 4 (AVX2) and W = 8
+      (AVX-512F); the widest the CPU supports runs ({!tile_lanes}).
+      Noncoalescible operand layouts are copy-packed through flat offset
+      tables, amortized over the cache blocking.
+    - the stride walk, when the output iterates no dimension (a full
+      reduction), or that dimension is carried by both operands at unit
+      stride in the output's storage: such a shape has no (M,N,K) form.
+      The walk is also the oracle behind {!set_walk_oracle}.
+    Every contraction a plan executes has an (M,N,K) form (the
+    generalized Cannon template rejects the rest), so plans run on GEMM
+    only. The walk is a known trade on the other shapes: elementwise
+    products and full reductions run at 0.3–0.6 GFLOP/s on a 2-core
+    AVX-512F Xeon, about twice the rate of the unrolled OCaml tiles it
+    replaced, while C[m,x] = Σ_k A[m,k,x]·B[k,x] runs at about 0.6,
+    a quarter of a packed tile's 2.1–2.5 and still about 30 times the
+    frozen reference (DESIGN.md §15).
 
-    Every flavor adds each cell's products in ascending summation order,
+    Both paths add each cell's products in ascending summation order,
     each multiply and add rounded separately (the C tile is built with
     [-ffp-contract=off] and no FMA at any width), so results are
     bit-identical at every tile width, and to both the walk
     (on the same canonicalized dimensions) and earlier releases. A
-    windowed call chooses its flavor and summation order on the strides
+    windowed call chooses its path and summation order on the strides
     its windows' block copies would have, so it is bit-identical to
-    contracting those copies. All paths perform zero per-element
+    contracting those copies. Both paths perform zero per-element
     allocation (panels and offset tables are per-domain, grow-only
     scratch). *)
 
@@ -68,24 +77,13 @@ val contract_acc :
 
 type path =
   | Gemm  (** packed (M,N,K) blocking, C vector microkernel *)
-  | Hadamard
-      (** innermost output dimension shared by both operands: packed B
-          panels over contiguous C strips *)
-  | Dot  (** full reduction to one cell through offset tables *)
-  | Walk  (** generic stride walk — debug oracle only *)
+  | Walk
+      (** generic stride walk: shapes with no (M,N,K) form, and the
+          oracle *)
 
 val last_path : unit -> path
-(** Which flavor the most recent {!contract_acc} on this domain took. *)
-
-val last_used_microkernel : unit -> bool
-(** Whether the most recent {!contract_acc} on this domain ran a
-    register-tiled/unrolled kernel — true for every path except
-    {!Walk}. For tests and benchmarks. *)
-
-val last_used_packed : unit -> bool
-(** Whether the most recent {!contract_acc} on this domain copy-packed
-    operand panels ({!Gemm} and {!Hadamard} do; {!Dot} and {!Walk} read
-    operands in place). *)
+(** Which path the most recent {!contract_acc} took, on whichever
+    domain ran it. For tests and benchmarks. *)
 
 val blocking : unit -> int * int * int
 (** The cache-blocking parameters [(KC, MC, NC)]: summation-strip depth,
@@ -105,10 +103,10 @@ val supported_lanes : unit -> int list
 
 val set_walk_oracle : bool -> unit
 (** Route subsequent contractions through the generic stride walk on the
-    {e same} canonicalized dimension lists the packed flavors use. The
-    packed paths reproduce the walk's accumulation order exactly, so
-    pack ≡ walk {b bit-for-bit}; the property suite sweeps this. Global,
-    not per-domain; for tests only. Default [false]. *)
+    {e same} canonicalized dimension lists the GEMM path uses. GEMM
+    reproduces the walk's accumulation order exactly, so GEMM ≡ walk
+    {b bit-for-bit}; the property suite sweeps this. Global, not
+    per-domain; for tests only. Default [false]. *)
 
 val set_tile_lanes : int -> unit
 (** Run subsequent GEMM blocks on the tile of [w] lanes, so tests and

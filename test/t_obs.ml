@@ -341,10 +341,10 @@ let test_kernel_counters () =
   Alcotest.(check int) "flops counted" (2 * 64 * 32 * 48) (ctr "kernel.flops");
   Alcotest.(check int) "exactly one dispatch" 1
     (ctr "kernel.microkernel" + ctr "kernel.fallback");
-  (* This shape is microkernel-eligible; the counter must agree with the
-     existing probe. *)
+  (* This shape takes GEMM; the counter must agree with the path
+     probe. *)
   Alcotest.(check int) "microkernel dispatch recorded"
-    (if Kernel.last_used_microkernel () then 1 else 0)
+    (if Kernel.last_path () = Kernel.Gemm then 1 else 0)
     (ctr "kernel.microkernel")
 
 let test_multicore_spans_and_bit_identity () =

@@ -65,6 +65,47 @@ let check_case ~ctx expected actual =
   if not (Dense.equal_approx ~tol:1e-9 expected actual) then
     Alcotest.failf "%s: kernel diverged from the reference oracle" ctx
 
+(* The path kernel.mli prescribes for a call, from its labels: the walk
+   when the output iterates no dimension, or when its innermost iterated
+   dimension is carried by both operands at unit stride in the output's
+   storage; GEMM otherwise. [out] lists the output's dimensions in
+   storage order as (label, stored extent, iterated extent), the latter
+   1 when pinned and the window's length when windowed; [left] and
+   [right] are the labels each operand iterates. The key names the arm,
+   so a sweep can check it reached GEMM in both operand orders (the
+   kernel swaps the operands when the left one carries that dimension)
+   and the walk. *)
+let prescribed_path ~out ~left ~right =
+  let rec inner unit = function
+    | [] -> (Kernel.Walk, "walk")
+    | (_, stored, iterated) :: outer when iterated <= 1 ->
+      inner (unit && stored = 1) outer
+    | (l, _, _) :: _ -> (
+      let carries = List.exists (Index.equal l) in
+      match (carries left, carries right) with
+      | true, true when unit -> (Kernel.Walk, "walk")
+      | false, true when unit -> (Kernel.Gemm, "GEMM")
+      | true, false when unit -> (Kernel.Gemm, "GEMM, operands swapped")
+      | _ -> (Kernel.Gemm, "GEMM, strided output"))
+  in
+  inner true (List.rev out)
+
+(* Records the prescribed path's key in [seen] and fails unless the
+   call took that path. *)
+let check_path ~ctx seen (path, key) =
+  Hashtbl.replace seen key ();
+  if Kernel.last_path () <> path then
+    Alcotest.failf "%s: took the %s path where the rule prescribes %s" ctx
+      (if Kernel.last_path () = Kernel.Gemm then "GEMM" else "walk")
+      key
+
+let check_reached ~seed seen =
+  List.iter
+    (fun key ->
+      if not (Hashtbl.mem seen key) then
+        Alcotest.failf "seed %d: no case took the %s path" seed key)
+    [ "GEMM"; "GEMM, operands swapped"; "walk" ]
+
 (* Kernel path vs the frozen naive oracle. *)
 let kernel_vs_ref_block ~seed ~count () =
   let prng = Prng.create ~seed in
@@ -160,8 +201,9 @@ let pins_block ~seed ~count () =
    oracle gives on the same windows; every cell outside the output
    window must keep its bits. Each instance is grown by up to two cells
    per dimension, with the window at a random offset, and runs in both
-   operand orders; the sweep must reach the GEMM flavor in both orders,
-   Hadamard and Dot. *)
+   operand orders; each call must take the path the kernel's rule
+   prescribes, and the sweep must reach GEMM in both operand orders and
+   the walk. *)
 let windows_block ~seed ~count () =
   let prng = Prng.create ~seed in
   let seen = Hashtbl.create 4 in
@@ -198,14 +240,17 @@ let windows_block ~seed ~count () =
             in
             Kernel.set_walk_oracle false;
             let packed = windowed () in
-            let path = Kernel.last_path () in
-            Hashtbl.replace seen
-              (match path with
-              | Kernel.Gemm -> Printf.sprintf "GEMM %s" order
-              | Kernel.Hadamard -> "Hadamard"
-              | Kernel.Dot -> "Dot"
-              | Kernel.Walk -> "walk")
-              ();
+            check_path ~ctx seen
+              (prescribed_path
+                 ~out:
+                   (List.map
+                      (fun (l, stored) ->
+                        let _, (_, len) =
+                          List.find (fun (l', _) -> Index.equal l l') win_out
+                        in
+                        (l, stored, len))
+                      (Dense.dims big_out))
+                 ~left:(Dense.labels x) ~right:(Dense.labels y));
             Kernel.set_walk_oracle true;
             let walked = windowed () in
             Kernel.set_walk_oracle false;
@@ -224,20 +269,19 @@ let windows_block ~seed ~count () =
           [ ("A·B", (big_a, win_a), (big_b, win_b));
             ("B·A", (big_b, win_b), (big_a, win_a)) ]
       done;
-      List.iter
-        (fun flavor ->
-          if not (Hashtbl.mem seen flavor) then
-            Alcotest.failf "seed %d: no case took the %s flavor" seed flavor)
-        [ "GEMM A·B"; "GEMM B·A"; "Hadamard"; "Dot" ])
+      check_reached ~seed seen)
 
-(* The packed flavors must reproduce the generic stride walk's
-   accumulation order exactly — not to tolerance, bit-for-bit. Each case
-   contracts from the same randomized starting output once through the
-   production pack path and once through the walk oracle (which runs on
-   the same canonicalized dimension lists) and compares bit patterns. *)
+(* The GEMM path must reproduce the generic stride walk's accumulation
+   order exactly — not to tolerance, bit-for-bit. Each case contracts
+   from the same randomized starting output once through the production
+   path, which must be the one the kernel's rule prescribes, and once
+   through the walk oracle (which runs on the same canonicalized
+   dimension lists) and compares bit patterns. The sweep must reach GEMM
+   in both operand orders and the walk. *)
 let pack_vs_walk_block ~seed ~count () =
   at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed in
+  let seen = Hashtbl.create 4 in
   Fun.protect
     ~finally:(fun () -> Kernel.set_walk_oracle false)
     (fun () ->
@@ -254,8 +298,10 @@ let pack_vs_walk_block ~seed ~count () =
         let packed = Dense.copy into0 in
         Kernel.set_walk_oracle false;
         Einsum.contract2_acc ~into:packed a b;
-        if not (Kernel.last_used_microkernel ()) then
-          Alcotest.failf "%s: production path took the walk" ctx;
+        check_path ~ctx seen
+          (prescribed_path
+             ~out:(List.map (fun (l, e) -> (l, e, e)) (Dense.dims packed))
+             ~left:(Dense.labels a) ~right:(Dense.labels b));
         let walked = Dense.copy into0 in
         Kernel.set_walk_oracle true;
         Einsum.contract2_acc ~into:walked a b;
@@ -263,13 +309,17 @@ let pack_vs_walk_block ~seed ~count () =
         if not (Dense.bits_equal packed walked) then
           Alcotest.failf "%s: pack path differs from walk oracle in the bits"
             ctx
-      done)
+      done;
+      check_reached ~seed seen)
 
 (* Same bit-for-bit claim with pinned-slab base offsets on all three
-   tensors: packing must respect the slab bases exactly. *)
+   tensors: packing must respect the slab bases exactly. A pinned label
+   stored inside the output's innermost dimension leaves it strided,
+   which the rule sends to GEMM whoever carries it. *)
 let pack_vs_walk_pins_block ~seed ~count () =
   at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed in
+  let seen = Hashtbl.create 4 in
   Fun.protect
     ~finally:(fun () -> Kernel.set_walk_oracle false)
     (fun () ->
@@ -308,13 +358,21 @@ let pack_vs_walk_pins_block ~seed ~count () =
         in
         Kernel.set_walk_oracle false;
         let packed = contract (Dense.copy big_out) in
+        check_path ~ctx seen
+          (prescribed_path
+             ~out:
+               (List.map
+                  (fun (l, e) -> (l, e, if Index.equal l xo then 1 else e))
+                  (Dense.dims big_out))
+             ~left:(Dense.labels a) ~right:(Dense.labels b));
         Kernel.set_walk_oracle true;
         let walked = contract (Dense.copy big_out) in
         Kernel.set_walk_oracle false;
         if not (Dense.bits_equal packed walked) then
           Alcotest.failf "%s: pinned pack path differs from walk in the bits"
             ctx
-      done)
+      done;
+      check_reached ~seed seen)
 
 (* GEMM shapes at the edges of the 4 × 2W register tile at every width
    (M, N in {1, 3, 4, 5, 7, 8, 9, 15, 16, 17}: one below, at and above
@@ -342,7 +400,7 @@ let gemm_edges () =
         let packed = Dense.copy into0 in
         contract packed;
         if Kernel.last_path () <> Kernel.Gemm then
-          Alcotest.failf "%s: did not take the GEMM flavor" ctx;
+          Alcotest.failf "%s: did not take the GEMM path" ctx;
         let walked = Dense.copy into0 in
         Kernel.set_walk_oracle true;
         contract walked;

@@ -292,7 +292,7 @@ let qcheck_acc_equivalence =
       Dense.equal_approx into expect)
 
 (* The CCSD-shaped contraction T1[b,c,d,f] = Σ_{e,l} B[b,e,f,l]·D[c,d,e,l]
-   must canonicalize onto the blocked microkernel (this is the layout the
+   must canonicalize onto the GEMM microkernel (this is the layout the
    benchmark's >=10x speedup claim rests on). *)
 let test_ccsd_hits_microkernel () =
   let rng = Prng.create ~seed:42 in
@@ -302,14 +302,14 @@ let test_ccsd_hits_microkernel () =
   Dense.fill_random dt rng;
   let out = idx_list [ "b"; "c"; "d"; "f" ] in
   let c = Einsum.contract2 ~out bt dt in
-  Alcotest.(check bool) "microkernel used" true (Kernel.last_used_microkernel ());
+  Alcotest.(check bool) "GEMM path" true (Kernel.last_path () = Kernel.Gemm);
   Alcotest.(check bool) "matches reference" true
     (Dense.equal_approx c (Einsum.contract2_ref ~out bt dt))
 
 (* An innermost output dimension present in both operands defeats the
-   canonical (M, N, K) form; the kernel must take the packed Hadamard
-   flavor — still a microkernel, no walk fallback — and be exact. *)
-let test_noncoalescible_packs () =
+   canonical (M, N, K) form; the kernel must take the stride walk and be
+   exact. *)
+let test_noncoalescible_walks () =
   let rng = Prng.create ~seed:43 in
   let a = Dense.create [ (i "m", 3); (i "k", 4); (i "x", 5) ] in
   let b = Dense.create [ (i "k", 4); (i "x", 5) ] in
@@ -317,14 +317,12 @@ let test_noncoalescible_packs () =
   Dense.fill_random b rng;
   let out = idx_list [ "m"; "x" ] in
   let c = Einsum.contract2 ~out a b in
-  Alcotest.(check bool) "microkernel used" true (Kernel.last_used_microkernel ());
-  Alcotest.(check bool) "hadamard flavor" true (Kernel.last_path () = Kernel.Hadamard);
-  Alcotest.(check bool) "packed" true (Kernel.last_used_packed ());
+  Alcotest.(check bool) "walk path" true (Kernel.last_path () = Kernel.Walk);
   Alcotest.(check bool) "matches reference" true
     (Dense.equal_approx c (Einsum.contract2_ref ~out a b))
 
-(* Flavor probes across the classification: GEMM for matmul shapes, Dot
-   for full reductions, Walk only under the debug oracle. *)
+(* Path probes across the classification: GEMM for matmul shapes, the
+   walk for full reductions and under the oracle. *)
 let test_kernel_paths () =
   let rng = Prng.create ~seed:45 in
   let a = Dense.create [ (i "m", 6); (i "k", 5) ] in
@@ -333,18 +331,16 @@ let test_kernel_paths () =
   Dense.fill_random b rng;
   ignore (Einsum.contract2 ~out:(idx_list [ "m"; "n" ]) a b);
   Alcotest.(check bool) "gemm" true (Kernel.last_path () = Kernel.Gemm);
-  Alcotest.(check bool) "gemm packs" true (Kernel.last_used_packed ());
   ignore (Einsum.contract2 ~out:[] a (Dense.transpose a [ i "m"; i "k" ]));
-  Alcotest.(check bool) "dot" true (Kernel.last_path () = Kernel.Dot);
-  Alcotest.(check bool) "dot reads in place" false (Kernel.last_used_packed ());
+  Alcotest.(check bool) "full reduction walks" true
+    (Kernel.last_path () = Kernel.Walk);
   Kernel.set_walk_oracle true;
   Fun.protect
     ~finally:(fun () -> Kernel.set_walk_oracle false)
     (fun () ->
       let c = Einsum.contract2 ~out:(idx_list [ "m"; "n" ]) a b in
-      Alcotest.(check bool) "walk" true (Kernel.last_path () = Kernel.Walk);
-      Alcotest.(check bool) "oracle not microkernel" false
-        (Kernel.last_used_microkernel ());
+      Alcotest.(check bool) "oracle walks" true
+        (Kernel.last_path () = Kernel.Walk);
       Alcotest.(check bool) "oracle exact" true
         (Dense.equal_approx c
            (Einsum.contract2_ref ~out:(idx_list [ "m"; "n" ]) a b)));
@@ -493,7 +489,7 @@ let suite =
         qcheck_kernel_vs_ref;
         qcheck_acc_equivalence;
         case "CCSD shape hits the microkernel" test_ccsd_hits_microkernel;
-        case "non-coalescible layout packs" test_noncoalescible_packs;
+        case "non-coalescible layout walks, exact" test_noncoalescible_walks;
         case "flavor probes and walk oracle" test_kernel_paths;
         case "safe flat view" test_dense_safe_view;
         case "pinned slab contraction" test_kernel_pins;
