@@ -35,8 +35,8 @@ val random_einsum :
 
 val bench_corpus : unit -> instance list
 (** The fixed corpus the [search] bench section measures. The exact DP
-    (memo on, the default) takes 0.29 ms on chain-16, 31.3 ms on
-    einsum-7t-r7 and 42.9 ms on einsum-8t-r7 (BENCH_search.json, best of
+    (memo on, the default) takes 0.26 ms on chain-16, 16.5 ms on
+    einsum-7t-r7 and 23.1 ms on einsum-8t-r7 (BENCH_search.json, best of
     five runs on a 2-core Xeon host). *)
 
 val fuzz : seed:int -> count:int -> instance list

@@ -305,7 +305,8 @@ type pass = {
 let exact_pass = { prune = true; beam = None; fusion_cap = None; share = true }
 
 (* The priced candidates of one DP node, in enumeration order: one row
-   per candidate, stored column-wise (DESIGN.md §12). *)
+   per candidate, stored column-wise (DESIGN.md §12), and the scratch
+   that pruning and the beam sort in. *)
 type priced = {
   mutable n : int;
   mutable cost : float array;
@@ -316,6 +317,11 @@ type priced = {
   mutable left : int array;  (** left case *)
   mutable right : int array;  (** right case *)
   mutable out : int array;  (** parent fusion *)
+  mutable rows : int array;  (** prune: every group's rows; beam: its list *)
+  mutable merge : int array;  (** the sort's merge buffer *)
+  mutable ticks : int;  (** comparisons, for polling *)
+  mutable high : int;  (** the most rows a node of this request priced *)
+  busy : bool Atomic.t;  (** a request is pricing into it *)
 }
 
 let priced () =
@@ -329,36 +335,91 @@ let priced () =
     left = [||];
     right = [||];
     out = [||];
+    rows = [||];
+    merge = [||];
+    ticks = 0;
+    high = 0;
+    busy = Atomic.make false;
   }
 
 (* The next free row, growing every column by doubling when full. A
-   column of millions of rows takes milliseconds to grow, so [poll],
-   when given, runs before each column grows. *)
-let next_row ?poll p =
+   column of millions of rows takes milliseconds to allocate and as many
+   to copy, so [poll] runs before each of those steps; the float columns
+   are allocated unfilled, as only rows below [n] are read. The store
+   outlives a cancelled request, so a growth that [poll] cuts short must
+   leave it usable: columns grow in order, [out] last, and each only
+   while it is full, so every column is at least as long as [out] and
+   the next growth finishes the rest. *)
+let next_row ~poll p =
   let t = p.n in
-  if t = Array.length p.cost then begin
-    let grow a fill =
-      Option.iter (fun poll -> poll ()) poll;
-      let b = Array.make (max 64 (2 * t)) fill in
-      Array.blit a 0 b 0 t;
-      b
+  if t = Array.length p.out then begin
+    let grow a make =
+      if Array.length a > t then a
+      else begin
+        poll ();
+        let b = make (max 64 (2 * t)) in
+        poll ();
+        Array.blit a 0 b 0 t;
+        b
+      end
     in
-    p.cost <- grow p.cost 0.0;
-    p.bytes <- grow p.bytes 0.0;
-    p.rots <- grow p.rots 0;
-    p.group <- grow p.group 0;
-    p.variant <- grow p.variant 0;
-    p.left <- grow p.left 0;
-    p.right <- grow p.right 0;
-    p.out <- grow p.out 0
+    let ints n = Array.make n 0 in
+    p.cost <- grow p.cost Array.create_float;
+    p.bytes <- grow p.bytes Array.create_float;
+    p.rots <- grow p.rots ints;
+    p.group <- grow p.group ints;
+    p.variant <- grow p.variant ints;
+    p.left <- grow p.left ints;
+    p.right <- grow p.right ints;
+    p.out <- grow p.out ints
   end;
   p.n <- t + 1;
   t
 
+(* [a] when it holds [len] rows, else a larger scratch array (its
+   contents are not kept). *)
+let scratch a len =
+  if Array.length a >= len then a
+  else Array.make (max len (2 * Array.length a)) 0
+
+(* One store per domain: a node resets it ([n = 0]) and prices into it,
+   and is done with it before its parent starts pricing, so a request's
+   every pass, shape and term share it, and so do the requests a domain
+   serves in turn. *)
+let store_key = Domain.DLS.new_key priced
+
+(* [f] on the calling domain's store, or on a fresh one while that one
+   is busy: a solve nested in another, or a second systhread. A request
+   keeps the store only when a fresh one would have grown as large: one
+   that its nodes filled to no more than half was grown by an earlier,
+   larger request, and is dropped. So between requests a domain holds
+   at most the store its last request needed. *)
+let with_store f =
+  let own = Domain.DLS.get store_key in
+  if Atomic.compare_and_set own.busy false true then
+    Fun.protect
+      ~finally:(fun () ->
+        let rows = Array.length own.out in
+        if rows > 64 && 2 * Int.max own.high own.n <= rows then
+          Domain.DLS.set store_key (priced ())
+        else own.high <- 0;
+        Atomic.set own.busy false)
+      (fun () -> f own)
+  else f (priced ())
+
+let store_bytes () =
+  let p = Domain.DLS.get store_key in
+  let floats = Array.length p.cost + Array.length p.bytes in
+  let ints =
+    Array.length p.rots + Array.length p.group + Array.length p.variant
+    + Array.length p.left + Array.length p.right + Array.length p.out
+    + Array.length p.rows + Array.length p.merge
+  in
+  (8 * floats) + (Sys.word_size / 8 * ints)
+
 (* Per-request engine settings, fixed across every pass, shape and
    term of one planning request, and the candidate store its DP nodes
-   price into in turn: a node is done with the store before its parent
-   starts pricing, so one store serves the whole request. *)
+   price into in turn. *)
 type engine = {
   ext : Extents.t;
   objective : objective;
@@ -547,7 +608,7 @@ let legal_table cfg universe variant ~rotations ~outs ~left ~right =
                  | Variant.Right -> rk)
         in
         cost := !cost +. c;
-        words := max !words w
+        words := Int.max !words w
       done;
       rot_cost.(k) <- !cost;
       msg_words.(k) <- !words
@@ -730,8 +791,8 @@ let redist_cost c acc =
    (left case, right case, then parent fusion as [legal] lists them). A
    candidate's cost sums, in this order, the child costs, the rotation
    term and the redistributions; a combination over [limit] node bytes
-   is not a candidate. [poll], when given, runs once every 4,096
-   candidates, so a node of millions stays cancellable. *)
+   is not a candidate. [poll] runs once every 4,096 candidates, so a
+   node of millions stays cancellable. *)
 let price p ~poll ~bytes_per_word ~limit ~group_of ~left ~right v vt =
   for li = 0 to Array.length left.cases - 1 do
     let lk = left.key_of.(li) in
@@ -758,9 +819,10 @@ let price p ~poll ~bytes_per_word ~limit ~group_of ~left ~right v vt =
                 + cl.resident + cr.resident
               in
               let buffer =
-                max
-                  (max l_mem.Memacct.buffer_words r_mem.Memacct.buffer_words)
-                  (max cl.redist_words cr.redist_words)
+                Int.max
+                  (Int.max l_mem.Memacct.buffer_words
+                     r_mem.Memacct.buffer_words)
+                  (Int.max cl.redist_words cr.redist_words)
               in
               let rots = l_rots + child_out_rots rcase in
               for k = 0 to Array.length e.outs - 1 do
@@ -769,13 +831,11 @@ let price p ~poll ~bytes_per_word ~limit ~group_of ~left ~right v vt =
                   bytes_per_word
                   *. float_of_int
                        (resident + vt.out_resident.(o)
-                       + max buffer e.msg_words.(k))
+                       + Int.max buffer e.msg_words.(k))
                 in
                 if bytes <= limit then begin
-                  let t = next_row ?poll p in
-                  (match poll with
-                  | Some poll when t land 4095 = 4095 -> poll ()
-                  | _ -> ());
+                  let t = next_row ~poll p in
+                  if t land 4095 = 4095 then poll ();
                   p.cost.(t) <- cost_lr +. e.rot_cost.(k) +. redist;
                   p.bytes.(t) <- bytes;
                   p.rots.(t) <- rots;
@@ -790,19 +850,67 @@ let price p ~poll ~bytes_per_word ~limit ~group_of ~left ~right v vt =
   done
 
 (* The order pruning and the beam share: cost, node bytes, output
-   rotations, then the oriented production distribution (as its rank). *)
-let compare_priced p ~orient =
-  let cost = p.cost and bytes = p.bytes and rots = p.rots in
-  fun x y ->
-    match Float.compare cost.(x) cost.(y) with
+   rotations, the oriented production distribution's rank, the fused
+   set's rank, then enumeration order, newest first. The last key never
+   ties, so the order is total. Whether row [x] comes before row [y]. *)
+let precedes p ~orient ~fused x y =
+  match Float.compare p.cost.(x) p.cost.(y) with
+  | 0 -> (
+    match Float.compare p.bytes.(x) p.bytes.(y) with
     | 0 -> (
-      match Float.compare bytes.(x) bytes.(y) with
+      match Int.compare p.rots.(x) p.rots.(y) with
       | 0 -> (
-        match Int.compare rots.(x) rots.(y) with
-        | 0 -> Int.compare (orient x) (orient y)
-        | c -> c)
-      | c -> c)
-    | c -> c
+        match Int.compare orient.(p.variant.(x)) orient.(p.variant.(y)) with
+        | 0 -> (
+          match Int.compare fused.(p.out.(x)) fused.(p.out.(y)) with
+          | 0 -> x > y
+          | c -> c < 0)
+        | c -> c < 0)
+      | c -> c < 0)
+    | c -> c < 0)
+  | c -> c < 0
+
+(* [precedes], counted: [poll] runs every 4,096 comparisons. *)
+let before p ~poll ~orient ~fused x y =
+  p.ticks <- p.ticks + 1;
+  if p.ticks land 4095 = 0 then poll ();
+  precedes p ~orient ~fused x y
+
+(* Sorts [p.rows.(lo .. hi - 1)] by [precedes]: a merge sort that moves
+   each left half aside into [p.merge]. *)
+let rec sort_rows p ~poll ~orient ~fused lo hi =
+  let a = p.rows in
+  if hi - lo <= 12 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && before p ~poll ~orient ~fused x a.(!j) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_rows p ~poll ~orient ~fused lo mid;
+    sort_rows p ~poll ~orient ~fused mid hi;
+    if before p ~poll ~orient ~fused a.(mid) a.(mid - 1) then begin
+      let b = p.merge in
+      Array.blit a lo b 0 (mid - lo);
+      let i = ref 0 and j = ref mid and k = ref lo in
+      while !i < mid - lo do
+        if !j < hi && before p ~poll ~orient ~fused a.(!j) b.(!i) then begin
+          a.(!k) <- a.(!j);
+          incr j
+        end
+        else begin
+          a.(!k) <- b.(!i);
+          incr i
+        end;
+        incr k
+      done
+    end
+  end
 
 (* Pareto pruning within (production distribution content, fusion) groups:
    the paper's "inferior solution" rule. A candidate is dominated when
@@ -815,12 +923,11 @@ let compare_priced p ~orient =
 
    The survivors are therefore exactly one candidate per Pareto-minimal
    (cost, bytes) point of the group: the least under (output rotations,
-   oriented key, enumeration order) of the candidates at that point. A
-   sort of the group by (cost, bytes, rotations, oriented key, order)
-   finds them in one sweep: a candidate survives when its bytes are below
-   those of every candidate sorted before it (an earlier one has lower
-   cost, or equal cost and fewer bytes, or the same point and a smaller
-   tie-break).
+   oriented key, enumeration order) of the candidates at that point. In
+   the group's order under [precedes] (whose fused key is constant within
+   a group), a candidate survives when its bytes are below those of every
+   candidate before it (an earlier one has lower cost, or equal cost and
+   fewer bytes, or the same point and a smaller tie-break).
 
    The order of the survivor list is part of the result: a parent's
    enumeration-order tie-break reads it. A node lists its candidates
@@ -830,70 +937,59 @@ let compare_priced p ~orient =
    [Hashtbl.create 32] keyed by (content key, fused key) strings, each
    inserted at its first occurrence in the newest-first list; a group
    lists its survivors oldest first. Returns the surviving rows in that
-   order. [poll], when given, runs once the groups are counted, once per
-   group and every 4,096 comparisons of a group's sort. *)
-let prune p ~poll ~orient ~groups ~group_key =
+   order. [poll] runs once the groups are counted, once per group and
+   every 4,096 comparisons. *)
+let prune p ~poll ~orient ~fused ~groups ~group_key =
   let n = p.n in
   let count = Array.make groups 0 in
   for t = 0 to n - 1 do
     count.(p.group.(t)) <- count.(p.group.(t)) + 1
   done;
-  (* [members]: every group's rows, oldest first, from [start.(g)]. *)
+  (* [rows]: every group's rows, oldest first, from [start.(g)]. *)
   let start = Array.make groups 0 in
   for g = 1 to groups - 1 do
     start.(g) <- start.(g - 1) + count.(g - 1)
   done;
-  Option.iter (fun poll -> poll ()) poll;
-  let members = Array.make n 0 and fill = Array.copy start in
+  poll ();
+  p.rows <- scratch p.rows n;
+  poll ();
+  p.merge <- scratch p.merge (Array.fold_left max 0 count / 2);
+  let fill = Array.copy start in
   for t = 0 to n - 1 do
     let g = p.group.(t) in
-    members.(fill.(g)) <- t;
+    p.rows.(fill.(g)) <- t;
     fill.(g) <- fill.(g) + 1
   done;
-  let survives = Array.make n false and rest = Array.make n 0 in
-  let by_point =
-    let point = compare_priced p ~orient in
-    fun x y -> match point x y with 0 -> Int.compare y x | c -> c
-  in
-  (* One group can hold a sizable share of a node's candidates, so its
-     sort polls too, every 4,096 comparisons. *)
-  let sort_by_point =
-    match poll with
-    | None -> by_point
-    | Some poll ->
-      let k = ref 0 in
-      fun x y ->
-        incr k;
-        if !k land 4095 = 0 then poll ();
-        by_point x y
-  in
+  let kept = Array.make groups [] in
   for g = 0 to groups - 1 do
     if count.(g) > 0 then begin
-      Option.iter (fun poll -> poll ()) poll;
+      poll ();
       (* The group's least candidate survives and dominates every one
          with as many bytes, so only the rest are sorted and swept. *)
-      let first = start.(g) and last = start.(g) + count.(g) - 1 in
-      let least = ref members.(first) in
-      for m = first + 1 to last do
-        if by_point members.(m) !least < 0 then least := members.(m)
+      let lo = start.(g) and hi = start.(g) + count.(g) in
+      let least = ref p.rows.(lo) in
+      for m = lo + 1 to hi - 1 do
+        if before p ~poll ~orient ~fused p.rows.(m) !least then
+          least := p.rows.(m)
       done;
-      survives.(!least) <- true;
-      let least_bytes = ref p.bytes.(!least) and r = ref 0 in
-      for m = first to last do
-        if p.bytes.(members.(m)) < !least_bytes then begin
-          rest.(!r) <- members.(m);
-          incr r
+      let bound = ref p.bytes.(!least) and rest = ref lo in
+      for m = lo to hi - 1 do
+        let t = p.rows.(m) in
+        if p.bytes.(t) < !bound then begin
+          p.rows.(!rest) <- t;
+          incr rest
         end
       done;
-      let rest = Array.sub rest 0 !r in
-      Array.stable_sort sort_by_point rest;
-      Array.iter
-        (fun t ->
-          if p.bytes.(t) < !least_bytes then begin
-            survives.(t) <- true;
-            least_bytes := p.bytes.(t)
-          end)
-        rest
+      sort_rows p ~poll ~orient ~fused lo !rest;
+      let front = ref [ !least ] in
+      for m = lo to !rest - 1 do
+        let t = p.rows.(m) in
+        if p.bytes.(t) < !bound then begin
+          front := t :: !front;
+          bound := p.bytes.(t)
+        end
+      done;
+      kept.(g) <- List.sort Int.compare !front
     end
   done;
   let order = Hashtbl.create 32 and seen = Array.make groups false in
@@ -905,35 +1001,24 @@ let prune p ~poll ~orient ~groups ~group_key =
     end
   done;
   Hashtbl.fold (fun _ g acc -> g :: acc) order []
-  |> List.concat_map (fun g ->
-         let kept = ref [] in
-         for m = start.(g) + count.(g) - 1 downto start.(g) do
-           if survives.(members.(m)) then kept := members.(m) :: !kept
-         done;
-         !kept)
+  |> List.concat_map (fun g -> kept.(g))
 
-(* Anytime narrowing: keep the [k] best of the [kept] rows under a total
-   order — cost, then node bytes, then output rotations, then the
-   oriented production-distribution key, then the fused-set key, then
-   position in [kept]. The order is total (the final component never
-   ties), so the cut is deterministic. *)
-let beam_cut p beam ~orient ~fused kept =
+(* Anytime narrowing: keep the [k] best of the [kept] rows under
+   [precedes]. A pruned list keeps one row per (cost, bytes) point of a
+   group, and the oriented key fixes the content, so no two of its rows
+   tie on the point and the fused key; an unpruned list is newest first.
+   Either way the order is the one of cost, node bytes, output
+   rotations, the oriented key, the fused key, then position in [kept],
+   and the cut is deterministic. *)
+let beam_cut p beam ~poll ~orient ~fused kept =
+  let len = List.length kept in
   match beam with
-  | Some k when List.length kept > k ->
-    let kept = Array.of_list kept in
-    let positions = Array.init (Array.length kept) Fun.id in
-    let point = compare_priced p ~orient in
-    Array.sort
-      (fun a b ->
-        let x = kept.(a) and y = kept.(b) in
-        match point x y with
-        | 0 -> (
-          match Int.compare (fused x) (fused y) with
-          | 0 -> Int.compare a b
-          | c -> c)
-        | c -> c)
-      positions;
-    List.init k (fun pos -> kept.(positions.(pos)))
+  | Some k when len > k ->
+    p.rows <- scratch p.rows len;
+    p.merge <- scratch p.merge (len / 2);
+    List.iteri (fun m t -> p.rows.(m) <- t) kept;
+    sort_rows p ~poll ~orient ~fused 0 len;
+    List.init k (fun m -> p.rows.(m))
   | _ -> kept
 
 (* The solution of priced row [t]: its step, memory account and step and
@@ -1104,33 +1189,33 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
      output's resident words per parent fusion depend on a variant only
      through the role's distribution and axis, which variants share:
      each table is computed once per node. *)
+  let masked aref alpha =
+    Eqs.masked ctx.eng.ext ~rows ~cols ~alpha ~universe
+      ~dims:(Aref.indices aref)
+  in
   let rotation =
     memoize (fun (role, alpha, axis) ->
-        let key_fusions side = Array.map (fun (f, _, _) -> f) side.keys in
-        let aref, fusions =
+        let key_masks side = Array.map (fun (_, m, _) -> m) side.keys in
+        let aref, masks =
           match role with
-          | Variant.Out -> (out_aref, outs)
-          | Variant.Left -> (contraction.Contraction.left, key_fusions left)
-          | Variant.Right -> (contraction.Contraction.right, key_fusions right)
+          | Variant.Out -> (out_aref, out_masks)
+          | Variant.Left -> (contraction.Contraction.left, key_masks left)
+          | Variant.Right -> (contraction.Contraction.right, key_masks right)
         in
-        let dims = Aref.indices aref in
+        let m = masked aref alpha in
         Array.map
-          (fun fused ->
-            ( Eqs.rotate_cost_rect ~rcost:cfg.rcost ctx.eng.ext ~alpha ~fused
-                ~dims ~axis,
-              Eqs.dist_size_rect ctx.eng.ext ~rows ~cols ~alpha ~fused ~dims ))
-          fusions)
+          (fun mask ->
+            ( Eqs.masked_rotate_cost ~rcost:cfg.rcost m ~axis mask,
+              Eqs.masked_size m mask ))
+          masks)
   and resident =
     memoize (fun alpha ->
-        Array.map
-          (fun fused ->
-            Eqs.dist_size_rect ctx.eng.ext ~rows ~cols ~alpha ~fused
-              ~dims:(Aref.indices out_aref))
-          outs)
+        Array.map (Eqs.masked_size (masked out_aref alpha)) out_masks)
   in
   (* Price: every variant's candidates, variants in enumeration order. *)
-  let poll = Option.map (fun _ () -> check_cancel ctx) ctx.eng.cancel in
+  let poll () = check_cancel ctx in
   let p = ctx.eng.priced in
+  p.high <- Int.max p.high p.n;
   p.n <- 0;
   let per_variant =
     Array.mapi
@@ -1153,18 +1238,16 @@ and solve_contract ctx ~contraction ~f_out_candidates node l r =
   let generated = p.n in
   (* Prune, then build the survivors. Unpruned, every candidate survives,
      newest first. *)
-  let orient t = orient_rank.(p.variant.(t)) in
+  let orient = orient_rank and fused = fused_rank in
   let kept =
     if ctx.pass.prune then
-      prune p ~orient ~poll
+      prune p ~poll ~orient ~fused
         ~groups:(Array.length content_keys * nf)
         ~group_key:(fun g -> (content_keys.(g / nf), fused_keys.(g mod nf)))
     else List.init generated (fun k -> generated - 1 - k)
   in
   let sols =
-    beam_cut p ctx.pass.beam ~orient
-      ~fused:(fun t -> fused_rank.(p.out.(t)))
-      kept
+    beam_cut p ctx.pass.beam ~poll ~orient ~fused kept
     |> List.map
          (build p ~contraction
             ~flops:(Contraction.flops ctx.eng.ext contraction)
@@ -1756,9 +1839,10 @@ let run_anytime ?on_round eng solve =
   in
   go None None rounds
 
-(* The engine settings shared by every pass of one request. *)
-let engine ?(memo = true) ?(max_groups = 3) ?cancel ~objective ext =
-  { ext; objective; memo; cancel; max_groups; priced = priced () }
+(* [f] on the engine settings shared by every pass of one request. *)
+let with_engine ?(memo = true) ?(max_groups = 3) ?cancel ~objective ext f =
+  with_store (fun priced ->
+      f { ext; objective; memo; cancel; max_groups; priced })
 
 (* The sum planner shares the full fusion space and ranks its subset
    choice by communication, so a sum takes neither the fusion-free space
@@ -1782,22 +1866,21 @@ let plan ?memo ?max_groups ?cancel ?on_round ext (req : request) =
   match check req with
   | Error _ as e -> e
   | Ok () ->
-    let eng = engine ?memo ?max_groups ?cancel ~objective:req.objective ext in
-    let solve pass = solve_shape eng pass req in
-    match req.strategy with
-    | Exact -> solve exact_pass
-    | Beam k -> solve { exact_pass with beam = Some k }
-    | Greedy -> first_feasible solve greedy_rungs
-    | Anytime -> run_anytime ?on_round eng solve
+    with_engine ?memo ?max_groups ?cancel ~objective:req.objective ext
+      (fun eng ->
+        let solve pass = solve_shape eng pass req in
+        match req.strategy with
+        | Exact -> solve exact_pass
+        | Beam k -> solve { exact_pass with beam = Some k }
+        | Greedy -> first_feasible solve greedy_rungs
+        | Anytime -> run_anytime ?on_round eng solve)
 
 let brute_force ext (req : request) =
   match check req with
   | Error _ as e -> e
   | Ok () ->
-    solve_shape
-      (engine ~memo:false ~objective:req.objective ext)
-      { exact_pass with prune = false }
-      req
+    with_engine ~memo:false ~objective:req.objective ext (fun eng ->
+        solve_shape eng { exact_pass with prune = false } req)
 
 let strategy_of_beam = function None -> Exact | Some k -> Beam k
 
@@ -1815,10 +1898,9 @@ let solution_count ?memo ?beam cfg ext tree =
   match check_grid cfg with
   | Error e -> Error e
   | Ok () ->
-    Result.map List.length
-      (solve_root ~traced:false
-         (engine ?memo ~objective:Comm ext)
-         { exact_pass with beam } cfg tree)
+    with_engine ?memo ~objective:Comm ext (fun eng ->
+        Result.map List.length
+          (solve_root ~traced:false eng { exact_pass with beam } cfg tree))
 
 (* --- Content fingerprint and plan renaming (the serve-layer cache) ----- *)
 

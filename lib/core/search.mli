@@ -212,7 +212,22 @@ type anytime_round = {
     A request is one sequential DP on the calling domain; the memo table
     lives for one solve. Concurrency comes from the caller: the planning
     daemon runs one request per worker domain, and requests share no
-    search state. *)
+    search state that reaches a plan.
+
+    {b The candidate store.} A DP node prices its candidates into flat
+    columns, and prunes and cuts them in scratch arrays beside them
+    (DESIGN.md §12). That store is held per domain, not per request: each
+    node resets it and prices into it, and it grows to the most rows a
+    node prices, so a domain's later nodes and requests reuse its columns
+    instead of regrowing them. A request keeps the store only when its
+    own nodes filled more than half of it, that is, when a fresh store
+    would have grown as large; otherwise the store was grown by an
+    earlier, larger request and is dropped when the request ends. So
+    between requests a domain holds at most the store its last request
+    needed, and the store is freed with its domain. A request that finds
+    its domain's store in use (a solve nested in another, or a second
+    systhread of the domain) takes a fresh store for its own lifetime.
+    Plans never depend on which store served them. *)
 
 val check : request -> (unit, string) result
 (** The rules a request must meet before any search, enforced by
@@ -230,6 +245,11 @@ val plan :
     {!check}, the problem is outside the Cannon template (Hadamard/unary
     nodes), a grid's characterization does not match it, or nothing fits
     in memory (for a shape search: on every shape). *)
+
+val store_bytes : unit -> int
+(** The bytes the calling domain's candidate store holds: its columns and
+    scratch (0 before the domain's first search, and after a request
+    that dropped it). *)
 
 val brute_force : Extents.t -> request -> (outcome, string) result
 (** Exhaustive enumeration of every (variant, fusion) assignment of the

@@ -89,12 +89,6 @@ let all_indices t =
     (List.fold_left (fun acc a -> Index.Set.union acc (of_aref a)) Index.Set.empty t.inputs)
     t.formulas
 
-let total_flops ext t = Ints.sum (List.map (Formula.flops ext) t.formulas)
-
-let unfused_memory_words ext t =
-  Ints.sum (List.map (Aref.size ext) t.inputs)
-  + Ints.sum (List.map (fun f -> Aref.size ext (Formula.lhs f)) t.formulas)
-
 let lookup env name =
   match List.assoc_opt name env with
   | Some d -> d

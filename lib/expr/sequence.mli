@@ -28,13 +28,6 @@ val find_def : t -> string -> Formula.t option
 val all_indices : t -> Index.Set.t
 (** Every index mentioned anywhere. *)
 
-val total_flops : Extents.t -> t -> int
-(** Direct (unfused) arithmetic cost of evaluating each formula in turn. *)
-
-val unfused_memory_words : Extents.t -> t -> int
-(** Total words to hold all inputs, intermediates and the output at full
-    size. *)
-
 val eval : Extents.t -> inputs:(string * Dense.t) list -> t -> Dense.t
 (** Reference evaluation with the naive einsum engine. The tensors must
     match the declared input arefs (same labels, extents from the

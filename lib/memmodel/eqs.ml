@@ -35,3 +35,40 @@ let rotate_cost_rect ~rcost ext ~alpha ~fused ~dims ~axis =
   float_of_int factor *. Rcost.query rcost ~axis ~words
 
 let full_words ext ~dims = Extents.size_of ext dims
+
+(* Per dimension: its bit in the fusion masks and its unfused DistRange,
+   which is also its LoopRange when fused. *)
+type masked = { bit : int array; range : int array }
+
+let masked ext ~rows ~cols ~alpha ~universe ~dims =
+  let bit i =
+    let rec go k = function
+      | [] -> 0
+      | u :: rest -> if Index.equal u i then 1 lsl k else go (k + 1) rest
+    in
+    go 0 universe
+  in
+  {
+    bit = Array.of_list (List.map bit dims);
+    range =
+      Array.of_list
+        (List.map
+           (dist_range_rect ext ~rows ~cols ~alpha ~fused:Index.Set.empty)
+           dims);
+  }
+
+(* The product of the ranges of the dimensions whose bit is [fused] in
+   [mask]. *)
+let masked_product m ~fused mask =
+  let acc = ref 1 in
+  for d = 0 to Array.length m.bit - 1 do
+    if (m.bit.(d) land mask <> 0) = fused then acc := !acc * m.range.(d)
+  done;
+  !acc
+
+let masked_size m mask = masked_product m ~fused:false mask
+
+(* MsgFactor (the fused dimensions' product) times RCost of DistSize. *)
+let masked_rotate_cost ~rcost m ~axis mask =
+  float_of_int (masked_product m ~fused:true mask)
+  *. Rcost.query rcost ~axis ~words:(masked_size m mask)

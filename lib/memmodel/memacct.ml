@@ -27,7 +27,6 @@ let node_bytes params t =
   bytes_per_word params *. float_of_int (t.resident_words + t.buffer_words)
 
 let fits params t = node_bytes params t <= params.Params.mem_per_node_bytes
-let headroom_bytes params t = params.Params.mem_per_node_bytes -. node_bytes params t
 
 let pp ppf t =
   Format.fprintf ppf "resident %a + buffer %a per proc" Units.pp_bytes_si

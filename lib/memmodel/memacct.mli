@@ -32,7 +32,4 @@ val bytes_per_word : Params.t -> float
 val fits : Params.t -> t -> bool
 (** True iff {!node_bytes} is within the machine's per-node memory. *)
 
-val headroom_bytes : Params.t -> t -> float
-(** [mem_per_node - node_bytes]; negative when over the limit. *)
-
 val pp : Format.formatter -> t -> unit

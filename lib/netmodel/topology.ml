@@ -27,7 +27,6 @@ let node_aware_table params ~intra_step_time =
   { params; intra_step_time = Some intra_step_time }
 
 let params t = t.params
-let is_uniform t = Option.is_none t.intra_step_time
 let procs_per_node t = Params.(t.params.procs_per_node)
 
 let node_of t ~rank =

@@ -30,7 +30,6 @@ val node_aware_table : Params.t -> intra_step_time:Interp.t -> t
 (** Like {!node_aware} with an arbitrary intra-node step-time table. *)
 
 val params : t -> Params.t
-val is_uniform : t -> bool
 val procs_per_node : t -> int
 
 val node_of : t -> rank:int -> int

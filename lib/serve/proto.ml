@@ -52,8 +52,6 @@ let topology_of_string = function
   | "node" -> Ok `Node
   | s -> Error (Printf.sprintf "unknown topology %S" s)
 
-let topology_to_string = function `Uniform -> "uniform" | `Node -> "node"
-
 (* ---- request parsing ------------------------------------------------- *)
 
 let opt_field json name conv kind =

@@ -61,7 +61,6 @@ type request = {
 val fusion_of_string : string -> (fusion, string) result
 val fusion_to_string : fusion -> string
 val topology_of_string : string -> (topology, string) result
-val topology_to_string : topology -> string
 
 val parse_request :
   string ->

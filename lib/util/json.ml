@@ -270,6 +270,4 @@ let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr items -> Some items | _ -> None

@@ -43,6 +43,4 @@ val to_float : t -> float option
 val to_int : t -> int option
 (** [None] unless the number is integral. *)
 
-val to_str : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option

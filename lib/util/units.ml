@@ -8,8 +8,6 @@ let pp_paper_size ppf words =
   if mb >= 1000.0 then Format.fprintf ppf "%.3fGB" (mb /. 1000.0)
   else Format.fprintf ppf "%.1fMB" mb
 
-let pp_seconds ppf s = Format.fprintf ppf "%.1f sec." s
-
 let pp_bytes_si ppf b =
   let abs = Float.abs b in
   if abs >= 1e9 then Format.fprintf ppf "%.2f GB" (b /. 1e9)

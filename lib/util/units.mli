@@ -22,8 +22,5 @@ val pp_paper_size : Format.formatter -> int -> unit
 (** Render a word count the way the paper's tables do: "57.6MB",
     "1.728GB", choosing MB below 1000 paper-MB and GB above. *)
 
-val pp_seconds : Format.formatter -> float -> unit
-(** Render a duration as the paper does: "98.0 sec." with one decimal. *)
-
 val pp_bytes_si : Format.formatter -> float -> unit
 (** Conventional SI rendering (kB / MB / GB with 1e3 steps) used in logs. *)

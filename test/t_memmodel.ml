@@ -120,6 +120,61 @@ let test_full_words () =
   Alcotest.(check int) "T1 full" (480 * 480 * 480 * 64)
     (Eqs.full_words paper_ext ~dims:(idx_list [ "b"; "c"; "d"; "f" ]))
 
+(* The mask forms against the set forms, bit for bit, on seeded draws:
+   an array of one to seven dimensions (extents 1–40, so the ceiling
+   divisions round), one of its distributions, an axis, an R × C grid of
+   up to 5 × 5 with its characterization, a fusion universe drawn from a
+   wider pool (so some dimensions are never fused and some fused indices
+   are no dimension), and a subset of that universe as the fusion. The
+   rotation cost is MsgFactor times a positive query of DistSize, so with
+   DistSize equal it checks MsgFactor too. *)
+let test_masked_matches_sets () =
+  let rng = Prng.create ~seed:2027 in
+  let pool = idx_list [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h"; "p"; "q" ] in
+  let ext =
+    Extents.of_list_exn
+      (List.map (fun x -> (x, 1 + Prng.int rng ~bound:40)) pool)
+  in
+  let rcost rows cols =
+    Rcost.characterize_rect ~rows ~cols ~samples:Rcost.default_samples
+      ~measure:(fun ~axis ~words ->
+        float_of_int (axis * (rows + cols))
+        *. (3e-5 +. (7e-9 *. float_of_int words)))
+  in
+  let rcosts =
+    Array.init 5 (fun r -> Array.init 5 (fun c -> rcost (r + 1) (c + 1)))
+  in
+  for draw = 1 to 2000 do
+    let rows = 1 + Prng.int rng ~bound:5 in
+    let cols = 1 + Prng.int rng ~bound:5 in
+    let rcost = rcosts.(rows - 1).(cols - 1) in
+    let rank = 1 + Prng.int rng ~bound:7 in
+    let dims = List.filteri (fun k _ -> k < rank) (Prng.shuffle rng pool) in
+    let alpha = Prng.pick rng (Dist.enumerate dims ()) in
+    let axis = 1 + Prng.int rng ~bound:2 in
+    let universe =
+      List.filter (fun _ -> Prng.bool rng) (Prng.shuffle rng pool)
+    in
+    let fused = List.filter (fun _ -> Prng.bool rng) universe in
+    let mask =
+      List.fold_left
+        (fun (m, bit) u ->
+          ((if List.mem u fused then m lor bit else m), bit lsl 1))
+        (0, 1) universe
+      |> fst
+    in
+    let fused = Index.set_of_list fused in
+    let m = Eqs.masked ext ~rows ~cols ~alpha ~universe ~dims in
+    let ctx what = Printf.sprintf "draw %d: %s" draw what in
+    Alcotest.(check int) (ctx "DistSize")
+      (Eqs.dist_size_rect ext ~rows ~cols ~alpha ~fused ~dims)
+      (Eqs.masked_size m mask);
+    Alcotest.(check int64) (ctx "RotateCost bits")
+      (Int64.bits_of_float
+         (Eqs.rotate_cost_rect ~rcost ext ~alpha ~fused ~dims ~axis))
+      (Int64.bits_of_float (Eqs.masked_rotate_cost ~rcost m ~axis mask))
+  done
+
 (* ---------------- Memacct ---------------- *)
 
 let test_memacct_arithmetic () =
@@ -176,6 +231,7 @@ let suite =
         case "RotateCost matches Table 2" test_rotate_cost_table2;
         case "ceiling division overestimates" test_ceil_division_overestimates;
         case "full array sizes" test_full_words;
+        case "mask forms equal the set forms bitwise" test_masked_matches_sets;
       ] );
     ( "memmodel.memacct",
       [

@@ -500,6 +500,132 @@ let test_tied_groups_keep_order () =
     (List.map chosen
        [ ("a", "f", "m"); ("a", "g", "r"); ("a", "h", "c"); ("a", "h", "u") ])
 
+(* The candidate store is held per domain. einsum-7t-r7 grows it, then
+   a fuzz batch and CCSD price in turn into the columns the solve before
+   left, stale rows included: every plan equals the same solve on a
+   freshly spawned domain, whose store is fresh. A second einsum-7t-r7
+   solve keeps the store it found, and a smaller solve after it drops
+   it. A solve nested in another's cancel token, halfway through its
+   polls (inside a node's pricing or pruning), finds its domain's store
+   busy and takes a fresh one: both plans equal fresh solves too. *)
+let test_store_reused_across_solves () =
+  let _, cfg = search_config 16 in
+  let render ?cancel ext tree =
+    Format.asprintf "%a" Plan.pp
+      (get_ok ~ctx:"optimize" (Search.optimize ?cancel cfg ext tree))
+  in
+  let problem, _, ccsd_tree = ccsd ~scale:`Paper in
+  let ccsd () = render problem.Problem.extents ccsd_tree in
+  let e7 =
+    List.find
+      (fun (x : Gencorpus.instance) -> String.equal x.name "einsum-7t-r7")
+      (Gencorpus.bench_corpus ())
+  in
+  let solves =
+    ((fun () -> render e7.ext e7.tree)
+    :: List.map
+         (fun { Gencorpus.ext; tree; _ } () -> render ext tree)
+         (Gencorpus.fuzz ~seed:4 ~count:24))
+    @ [ ccsd ]
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let before, in_turn, after =
+    on_fresh_domain (fun () ->
+        let before = Search.store_bytes () in
+        let plans = List.map (fun solve -> solve ()) solves in
+        (before, plans, Search.store_bytes ()))
+  in
+  Alcotest.(check int) "a fresh domain holds no store" 0 before;
+  Alcotest.(check bool) "the store is kept" true (after > 0);
+  Alcotest.(check (list string)) "plans on one domain equal fresh ones"
+    (List.map on_fresh_domain solves)
+    in_turn;
+  let grown, again, smaller =
+    on_fresh_domain (fun () ->
+        let bytes_after solve =
+          ignore (solve () : string);
+          Search.store_bytes ()
+        in
+        let grown = bytes_after (List.hd solves) in
+        let again = bytes_after (List.hd solves) in
+        (grown, again, bytes_after (List.nth solves 1)))
+  in
+  Alcotest.(check int) "an as large solve keeps the store" grown again;
+  Alcotest.(check bool) "a smaller solve drops it" true (smaller < grown);
+  let polls = ref 0 in
+  ignore
+    (render
+       ~cancel:(fun () ->
+         incr polls;
+         false)
+       e7.ext e7.tree
+      : string);
+  let halfway = !polls / 2 and nested = ref None in
+  let outer =
+    on_fresh_domain (fun () ->
+        let polled = ref 0 in
+        render
+          ~cancel:(fun () ->
+            incr polled;
+            if !polled = halfway then nested := Some (ccsd ());
+            false)
+          e7.ext e7.tree)
+  in
+  Alcotest.(check string) "nested solve equals a fresh one"
+    (on_fresh_domain ccsd) (Option.get !nested);
+  Alcotest.(check string) "its host solve equals a fresh one"
+    (List.hd in_turn) outer
+
+(* The store outlives a cancelled request, so a cancel at any poll,
+   while a column grows or a group sorts, must leave it usable: on a
+   fresh domain, a solve cancelled at its [k]-th poll raises typed, and
+   the domain's next solve equals a fresh one, for every poll [k] of the
+   solve (small CCSD polls 206 times and grows the store six times). *)
+let test_cancel_at_any_poll_keeps_store () =
+  let problem, _, tree = ccsd ~scale:`Small in
+  let _, cfg = search_config 16 in
+  let solve ?cancel () =
+    Format.asprintf "%a" Plan.pp
+      (get_ok ~ctx:"optimize"
+         (Search.optimize ?cancel cfg problem.Problem.extents tree))
+  in
+  let polls = ref 0 in
+  let fresh =
+    Domain.join
+      (Domain.spawn
+         (solve
+            ~cancel:(fun () ->
+              incr polls;
+              false)))
+  in
+  for k = 1 to !polls do
+    let outcome, next =
+      Domain.join
+        (Domain.spawn (fun () ->
+             let polled = ref 0 in
+             let outcome =
+               match
+                 solve
+                   ~cancel:(fun () ->
+                     incr polled;
+                     !polled >= k)
+                   ()
+               with
+               | exception Tce_error.Error (Tce_error.Deadline_exceeded _) ->
+                 "deadline exceeded"
+               | exception e -> Printexc.to_string e
+               | _ -> "returned a plan"
+             in
+             (outcome, solve ())))
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "cancel at poll %d raises typed" k)
+      "deadline exceeded" outcome;
+    Alcotest.(check string)
+      (Printf.sprintf "next solve after a cancel at poll %d" k)
+      fresh next
+  done
+
 let presum_suite =
   [
     case "pre-summed inputs plan and execute" test_presummed_inputs;
@@ -532,6 +658,10 @@ let suite =
           test_pinned_search_output;
         case "pinned plans of order-reading runs" test_pinned_ordered_output;
         case "tied root groups keep their order" test_tied_groups_keep_order;
+        case "a domain's kept store plans as a fresh one"
+          test_store_reused_across_solves;
+        case "a cancel at any poll leaves the store usable"
+          test_cancel_at_any_poll_keeps_store;
       ]
       @ presum_suite );
   ]
