@@ -585,11 +585,12 @@ let csv () =
 (* ------------------------------------------------------------------ *)
 
 (* Times the blocked contraction kernel against the frozen seed engine
-   ([Einsum.contract2_ref]) on CCSD-shaped and adversarial layouts, at
-   every GEMM tile width the host runs (the widest is the headline rate),
-   and writes BENCH_kernels.json so future PRs can track the trajectory.
-   Sizes are chosen to keep the reference runs near a second in total, so
-   the section doubles as a CI smoke job. *)
+   ([Einsum.contract2_ref]) on CCSD-shaped and adversarial layouts, and
+   alone on exec-ccsd's per-rank block shapes, at every GEMM tile width
+   the host runs (the widest is the headline rate), and writes
+   BENCH_kernels.json so future PRs can track the trajectory. Sizes are
+   chosen to keep the reference runs near a second in total, so the
+   section doubles as a CI smoke job. *)
 let kernels () =
   section "Kernel benchmarks: blocked kernel vs frozen seed reference";
   let rng = Prng.create ~seed:20260806 in
@@ -598,21 +599,36 @@ let kernels () =
     Dense.fill_random t rng;
     t
   in
+  (* Process CPU seconds and wall seconds summed over every timed
+     window: their ratio falls below 1 when other programs take this
+     run's core, so a loaded host can be told from a slow kernel. *)
+  let cpu_s = ref 0. and wall_s = ref 0. in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let time_of f =
     (* Adaptive repetition: double the run count until the measurement is
-       long enough to trust, then report seconds per run. Best of seven
-       such measurements, so the committed artifact (and the CI gates on
-       it) sit on the steady-state rate rather than scheduler noise. *)
+       long enough to trust, then report CPU seconds per run. Best of
+       seven such measurements, so the committed artifact (and the CI
+       gates on it) sit on the steady-state rate rather than scheduler
+       noise. *)
     ignore (f ());
     let rec go n =
-      let t0 = Sys.time () in
+      let c0 = cpu () and w0 = Unix.gettimeofday () in
       for _ = 1 to n do
         ignore (f ())
       done;
-      let dt = Sys.time () -. t0 in
+      let dt = cpu () -. c0 in
+      cpu_s := !cpu_s +. dt;
+      wall_s := !wall_s +. (Unix.gettimeofday () -. w0);
       if dt >= 0.2 || n >= 4096 then dt /. float_of_int n else go (n * 2)
     in
     List.fold_left Float.min infinity (List.init 7 (fun _ -> go 1))
+  in
+  (* An M×N×K matmul, C[i,j] = Σ_k A[i,k]·B[k,j]. *)
+  let matmul name m n k =
+    (name, [ "i"; "j" ], mk [ ("i", m); ("k", k) ], mk [ ("k", k); ("j", n) ])
   in
   let cases =
     [
@@ -646,11 +662,22 @@ let kernels () =
         mk [ ("k", 64); ("x", 64) ] );
     ]
   in
+  (* exec-ccsd's per-rank block shapes, which its run time goes to: the
+     layer the GEMM's loop order and tiles are measured on. The frozen
+     reference runs them at about 0.06 GFLOP/s, over a second per run,
+     so they are timed on the kernel alone. *)
+  let blocks =
+    [
+      matmul "block-t1" 512 512 96;
+      matmul "block-t2" 1024 72 256;
+      matmul "block-s" 192 384 192;
+    ]
+  in
   let path_name = function Kernel.Gemm -> "gemm" | Kernel.Walk -> "walk" in
   let widest = Kernel.tile_lanes () in
   let rows =
     List.map
-      (fun (name, out_names, a, b) ->
+      (fun ((name, out_names, a, b), timed_ref) ->
         let out = List.map Index.v out_names in
         let flops = Einsum.flops_contract2 ~out a b in
         let gf s = float_of_int flops /. s /. 1e9 in
@@ -687,20 +714,27 @@ let kernels () =
         let g1 = Gc.quick_stat () in
         let minor_w = g1.Gc.minor_words -. g0.Gc.minor_words
         and major_w = g1.Gc.major_words -. g0.Gc.major_words in
-        let ref_s = time_of (fun () -> Einsum.contract2_ref ~out a b) in
+        let ref_s =
+          if timed_ref then
+            Some (time_of (fun () -> Einsum.contract2_ref ~out a b))
+          else None
+        in
         (* Allocation of one accumulating Cannon-style step into a
            preallocated output block: must be bookkeeping-sized,
            independent of tensor extents (no per-step delta tensor). *)
         let before = Gc.allocated_bytes () in
         Einsum.contract2_acc ~into a b;
         let acc_alloc = Gc.allocated_bytes () -. before in
-        Format.printf
-          "%-18s %8.1f MFLOP  ref %8.4f s (%6.3f GF/s)  kernel %8.5f s \
-           (%6.3f GF/s)  speedup %7.1fx  path=%s  acc-alloc %.0f B@."
+        Format.printf "%-18s %8.1f MFLOP  %s kernel %8.5f s (%6.3f GF/s)  \
+                       path=%s  acc-alloc %.0f B@."
           name
           (float_of_int flops /. 1e6)
-          ref_s (gf ref_s) kernel_s (gf kernel_s) (ref_s /. kernel_s)
-          (path_name kpath) acc_alloc;
+          (match ref_s with
+          | Some r ->
+            Printf.sprintf "ref %8.4f s (%6.3f GF/s)  speedup %7.1fx " r
+              (gf r) (r /. kernel_s)
+          | None -> "")
+          kernel_s (gf kernel_s) (path_name kpath) acc_alloc;
         List.iter
           (fun (w, seconds, bits) ->
             Format.printf "%-18s %d lanes: %6.3f GF/s, bits equal walk %b@."
@@ -709,11 +743,18 @@ let kernels () =
         [
           ("name", Json.Str name);
           ("flops", json_int flops);
-          ("ref_seconds", Json.Num ref_s);
           ("kernel_seconds", Json.Num kernel_s);
-          ("ref_gflops", Json.Num (gf ref_s));
           ("kernel_gflops", Json.Num (gf kernel_s));
-          ("speedup", Json.Num (ref_s /. kernel_s));
+        ]
+        @ (match ref_s with
+          | Some r ->
+            [
+              ("ref_seconds", Json.Num r);
+              ("ref_gflops", Json.Num (gf r));
+              ("speedup", Json.Num (r /. kernel_s));
+            ]
+          | None -> [])
+        @ [
           ("path", Json.Str (path_name kpath));
           ("bits_equal_walk", Json.Bool bits_equal_walk);
           ( "lanes",
@@ -732,8 +773,11 @@ let kernels () =
           ("acc_alloc_bytes", Json.Num acc_alloc);
           ("out_bytes", json_int (8 * Dense.size into));
         ])
-      cases
+      (List.map (fun c -> (c, true)) cases
+      @ List.map (fun c -> (c, false)) blocks)
   in
+  let cpu_per_wall = !cpu_s /. !wall_s in
+  Format.printf "host cpu: %.3f CPU s per wall s while timing@." cpu_per_wall;
   let bkc, bmc, bnc = Kernel.blocking () in
   write_artifact "kernels" ~cases:rows
     [
@@ -741,6 +785,7 @@ let kernels () =
         Json.Obj
           [ ("kc", json_int bkc); ("mc", json_int bmc); ("nc", json_int bnc) ]
       );
+      ("cpu_per_wall", Json.Num cpu_per_wall);
     ]
 
 (* ------------------------------------------------------------------ *)

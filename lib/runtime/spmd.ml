@@ -1,7 +1,6 @@
 open! Import
 
 exception Spmd_aborted of { rank : int; exn : exn }
-exception Recv_timeout of { rank : int; src : int; waited_s : float }
 
 let () =
   Printexc.register_printer (function
@@ -9,10 +8,6 @@ let () =
       Some
         (Printf.sprintf "Spmd_aborted (rank %d: %s)" rank
            (Printexc.to_string exn))
-    | Recv_timeout { rank; src; waited_s } ->
-      Some
-        (Printf.sprintf "Recv_timeout (rank %d waited %.3f s for rank %d)"
-           rank waited_s src)
     | _ -> None)
 
 type 'msg mailbox = {
@@ -105,22 +100,11 @@ let send t ~dst msg =
   end
   else send_impl t ~dst msg
 
-let recv_impl ?timeout_s t ~src =
+let recv_impl t ~src =
   if src < 0 || src >= t.shared.nprocs then
     Tce_error.failf "Spmd.recv: bad rank %d (team of %d)" src t.shared.nprocs;
-  (match timeout_s with
-  | Some s when s <= 0.0 ->
-    Tce_error.failf "Spmd.recv: timeout must be positive (got %g)" s
-  | _ -> ());
   let box = t.shared.boxes.(t.my_rank) in
   let q = box.from.(src) in
-  let entered = if timeout_s = None then 0.0 else Unix.gettimeofday () in
-  let deadline = Option.map (fun s -> entered +. s) timeout_s in
-  (* [Condition.wait] has no deadline, so the timeout path polls; the
-     sleep backs off exponentially (50 µs up to 1 ms) so short timeouts
-     stay responsive without a long wait spinning the CPU at a fixed
-     200 µs cadence. *)
-  let sleep_s = ref 5e-5 in
   Mutex.lock box.lock;
   let rec take () =
     if not (Queue.is_empty q) then Queue.pop q
@@ -129,44 +113,27 @@ let recv_impl ?timeout_s t ~src =
       check_abort t;
       assert false
     end
-    else
-      match deadline with
-      | None ->
-        Condition.wait box.nonempty box.lock;
-        take ()
-      | Some d ->
-        let now = Unix.gettimeofday () in
-        if now >= d then begin
-          Mutex.unlock box.lock;
-          raise
-            (Recv_timeout
-               { rank = t.my_rank; src; waited_s = now -. entered })
-        end
-        else begin
-          (* The unlock/sleep/lock dance keeps senders unblocked. *)
-          Mutex.unlock box.lock;
-          Unix.sleepf (Float.min !sleep_s (d -. now));
-          sleep_s := Float.min (2.0 *. !sleep_s) 1e-3;
-          Mutex.lock box.lock;
-          take ()
-        end
+    else begin
+      Condition.wait box.nonempty box.lock;
+      take ()
+    end
   in
   let payload = take () in
   Mutex.unlock box.lock;
   payload
 
-let recv ?timeout_s t ~src =
+let recv t ~src =
   if Obs.enabled () then begin
     Obs.count "spmd.recvs";
     Obs.span ~cat:"spmd" ~tid:t.my_rank
       ~args:[ ("src", string_of_int src) ]
-      "recv-wait" (fun () -> recv_impl ?timeout_s t ~src)
+      "recv-wait" (fun () -> recv_impl t ~src)
   end
-  else recv_impl ?timeout_s t ~src
+  else recv_impl t ~src
 
-let sendrecv ?timeout_s t ~dst msg ~src =
+let sendrecv t ~dst msg ~src =
   send t ~dst msg;
-  recv ?timeout_s t ~src
+  recv t ~src
 
 let make_shared procs =
   {

@@ -15,9 +15,6 @@
     {!barrier} or {!recv} wake up and unwind instead of deadlocking, all
     domains are joined, and {!run} reports the failure as the structured
     {!Spmd_aborted} carrying the first-failing rank and its exception.
-    {!recv} additionally takes an optional timeout, turning a silent peer
-    (the shared-memory analogue of a dead node) into a {!Recv_timeout}
-    failure that poisons the run the same way.
 
     {2 Pooled teams}
 
@@ -36,11 +33,6 @@ exception Spmd_aborted of { rank : int; exn : exn }
 (** The run was torn down because [rank] raised [exn] (the {e first}
     failure; later casualties of the teardown are not reported). *)
 
-exception Recv_timeout of { rank : int; src : int; waited_s : float }
-(** A {!recv} with [?timeout_s] expired before a message from [src]
-    arrived; [waited_s] is the time actually spent waiting (measured
-    from the call's entry), not the configured timeout. *)
-
 type 'msg ctx
 (** Execution context handed to each participant; ['msg] is the message
     payload type. *)
@@ -56,14 +48,12 @@ val send : 'msg ctx -> dst:int -> 'msg -> unit
 (** Asynchronous send (unbounded mailbox). Raises {!Spmd_aborted} if the
     run is already poisoned, [Tce_error.Error] on an out-of-range rank. *)
 
-val recv : ?timeout_s:float -> 'msg ctx -> src:int -> 'msg
-(** Block until a message from [src] arrives (FIFO per sender). With
-    [?timeout_s], raise {!Recv_timeout} if nothing arrives in time (the
-    wait polls with an exponentially backed-off sleep, 50 µs to 1 ms);
-    raises {!Spmd_aborted} if the run is poisoned while waiting,
-    [Tce_error.Error] on a bad rank or non-positive timeout. *)
+val recv : 'msg ctx -> src:int -> 'msg
+(** Block until a message from [src] arrives (FIFO per sender). Raises
+    {!Spmd_aborted} if the run is poisoned while waiting,
+    [Tce_error.Error] on a bad rank. *)
 
-val sendrecv : ?timeout_s:float -> 'msg ctx -> dst:int -> 'msg -> src:int -> 'msg
+val sendrecv : 'msg ctx -> dst:int -> 'msg -> src:int -> 'msg
 (** Send then receive; safe against the cyclic-shift deadlock because
     sends never block. *)
 

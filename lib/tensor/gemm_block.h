@@ -1,9 +1,10 @@
 /* The GEMM block kernel over W lanes: micro-panel packing, the 4 × 2W
-   register tile and its scalar edge tile. gemm_stubs.c includes this
-   body once per lane count, with W (2, 4 or 8) and GEMM_TARGET (empty,
-   or a target attribute) defined, after MR, OFF and min_int; every
-   name it defines carries the suffix _wW. The panel format and the bit
-   contract are in the header comment of gemm_stubs.c. */
+   register tile, the 4 × W half tile and the scalar edge tile.
+   gemm_stubs.c includes this body once per lane count, with W (2, 4 or
+   8) and GEMM_TARGET (empty, or a target attribute) defined, after MR,
+   OFF and min_int; every name it defines carries the suffix _wW. The
+   panel format and the bit contract are in the header comment of
+   gemm_stubs.c. */
 
 #define NR (2 * W)
 #define GEMM_CAT_(f, w) f##_w##w
@@ -59,11 +60,37 @@ static GEMM_TARGET void GEMM_NAME(tile)(intnat kw, const double *restrict a,
   GEMM_NAME(store)(c3 + W, c31);
 }
 
-/* The same product on a trailing mr × nr tile (mr ≤ MR, nr ≤ NR, one of
-   them short): scalar cells, the same ascending-K chain per cell. */
+/* The half tile: C[0..3][0..W-1] += a-panel (4 × kw) · the first W
+   columns of a trailing b-panel of row stride ldb, in four W-lane
+   accumulators. */
+static GEMM_TARGET void GEMM_NAME(half)(intnat kw, const double *restrict a,
+                                        const double *restrict b, intnat ldb,
+                                        double *restrict c, intnat ldc)
+{
+  double *c0 = c, *c1 = c + ldc, *c2 = c + 2 * ldc, *c3 = c + 3 * ldc;
+  GEMM_NAME(vec) c00 = GEMM_NAME(load)(c0), c10 = GEMM_NAME(load)(c1);
+  GEMM_NAME(vec) c20 = GEMM_NAME(load)(c2), c30 = GEMM_NAME(load)(c3);
+  for (intnat t = 0; t < kw; t++) {
+    GEMM_NAME(vec) b0 = GEMM_NAME(load)(b);
+    c00 += a[0] * b0;
+    c10 += a[1] * b0;
+    c20 += a[2] * b0;
+    c30 += a[3] * b0;
+    a += MR;
+    b += ldb;
+  }
+  GEMM_NAME(store)(c0, c00);
+  GEMM_NAME(store)(c1, c10);
+  GEMM_NAME(store)(c2, c20);
+  GEMM_NAME(store)(c3, c30);
+}
+
+/* The same product on mr × nr cells (mr ≤ MR, nr < NR or mr < MR) of a
+   trailing panel, the a-panel of row stride mr, the b-panel of row
+   stride ldb: scalar cells, the same ascending-K chain per cell. */
 static GEMM_TARGET void GEMM_NAME(edge)(intnat kw, int mr, int nr,
                                         const double *restrict a,
-                                        const double *restrict b,
+                                        const double *restrict b, intnat ldb,
                                         double *restrict c, intnat ldc)
 {
   double acc[MR][NR];
@@ -73,21 +100,33 @@ static GEMM_TARGET void GEMM_NAME(edge)(intnat kw, int mr, int nr,
     for (int r = 0; r < mr; r++)
       for (int j = 0; j < nr; j++) acc[r][j] += a[r] * b[j];
     a += mr;
-    b += nr;
+    b += ldb;
   }
   for (int r = 0; r < mr; r++)
     for (int j = 0; j < nr; j++) c[r * ldc + j] = acc[r][j];
 }
 
-/* One block: pack A's rows and B's columns, then sweep the tile. The
-   arguments are tce_gemm_block's, with the bases already applied. */
+/* One block's packing and sweep: B's columns when [pack_b] (the panel
+   then serves every row block of the strip), A's rows, then the tile
+   over the gathered C block cp (row stride nw). The arguments are
+   tce_gemm_block's, with the bases already applied. */
 static GEMM_TARGET void GEMM_NAME(block)(const double *A, const double *B,
                                          double *ap, double *bp, double *cp,
                                          value ma, value ka, value nb,
                                          value kb, intnat ic, intnat jc,
                                          intnat pc, intnat mw, intnat nw,
-                                         intnat kw)
+                                         intnat kw, int pack_b)
 {
+  if (pack_b)
+    for (intnat t = 0; t < kw; t++) {
+      const double *src = B + OFF(kb, pc + t);
+      for (intnat jp = 0; jp < nw; jp += NR) {
+        int nr = (int)min_int(NR, nw - jp);
+        double *dst = bp + jp * kw + t * nr;
+        for (int j = 0; j < nr; j++) dst[j] = src[OFF(nb, jc + jp + j)];
+      }
+    }
+
   for (intnat ip = 0; ip < mw; ip += MR) {
     int mr = (int)min_int(MR, mw - ip);
     const double *row[MR];
@@ -100,17 +139,9 @@ static GEMM_TARGET void GEMM_NAME(block)(const double *A, const double *B,
     }
   }
 
-  for (intnat t = 0; t < kw; t++) {
-    const double *src = B + OFF(kb, pc + t);
-    for (intnat jp = 0; jp < nw; jp += NR) {
-      int nr = (int)min_int(NR, nw - jp);
-      double *dst = bp + jp * kw + t * nr;
-      for (int j = 0; j < nr; j++) dst[j] = src[OFF(nb, jc + jp + j)];
-    }
-  }
-
   /* Column panels outer, row panels inner: the kw × NR B micro-panel
-     stays in L1 while the A panels stream from L2. */
+     stays in L1 while the A panels stream from L2. A trailing column
+     panel of at least W columns runs its first W on the half tile. */
   for (intnat jp = 0; jp < nw; jp += NR) {
     int nr = (int)min_int(NR, nw - jp);
     const double *b = bp + jp * kw;
@@ -118,10 +149,16 @@ static GEMM_TARGET void GEMM_NAME(block)(const double *A, const double *B,
       int mr = (int)min_int(MR, mw - ip);
       const double *a = ap + ip * kw;
       double *c = cp + ip * nw + jp;
-      if (mr == MR && nr == NR)
+      if (mr < MR)
+        GEMM_NAME(edge)(kw, mr, nr, a, b, nr, c, nw);
+      else if (nr == NR)
         GEMM_NAME(tile)(kw, a, b, c, nw);
-      else
-        GEMM_NAME(edge)(kw, mr, nr, a, b, c, nw);
+      else if (nr < W)
+        GEMM_NAME(edge)(kw, MR, nr, a, b, nr, c, nw);
+      else {
+        GEMM_NAME(half)(kw, a, b, nr, c, nw);
+        if (nr > W) GEMM_NAME(edge)(kw, MR, nr - W, a, b + W, nr, c + W, nw);
+      }
     }
   }
 }

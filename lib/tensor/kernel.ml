@@ -163,12 +163,13 @@ let walk ~out_dims ~sum_dims (da : Dense.buf) (db : Dense.buf)
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch: packed panels and flat offset tables. Grow-only,
    reused across calls, domain-local so concurrent Multicore ranks
-   never share a panel.                                                *)
+   never share a panel. [bp] holds a KC strip's B panel across the
+   row-block calls of one contract_acc (see [gemm_driver]).           *)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
   mutable ap : Dense.buf; (* packed A micro-panels *)
-  mutable bp : Dense.buf; (* packed B micro-panels *)
+  mutable bp : Dense.buf; (* packed B micro-panels of the current strip *)
   mutable cp : Dense.buf; (* gathered C block *)
   mutable ma : int array; (* M-group offsets into A *)
   mutable mcf : int array; (* M-group offsets into C *)
@@ -223,22 +224,26 @@ let prod dims = Array.fold_left (fun acc d -> acc * d.ext) 1 dims
 (* GEMM driver                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* One (MC, NC, KC) block of the GEMM path, in gemm_stubs.c: packs
-   rows [ic, ic + mw) of A through [ma] and columns [jc, jc + nw) of B
-   through [nb], both over summation steps [pc, pc + kw) through
-   [ka]/[kb], into the [ap]/[bp] micro-panels, then accumulates their
-   product into the gathered C block [cp] (row stride [nw]) on the tile
-   of the last argument's width. *)
+(* One (MC, NC, KC) block of the GEMM path, in gemm_stubs.c: when the
+   flag is set, packs columns [jc, jc + nw) of B through [nb]/[kb] into
+   the [bp] micro-panels; gathers the block's C cells through
+   [mcf]/[ncf] into [cp]; packs rows [ic, ic + mw) of A through
+   [ma]/[ka] into [ap], both over summation steps [pc, pc + kw); runs
+   the tile of the last argument's width over the panels; and scatters
+   [cp] back into C. *)
 external gemm_block :
   Dense.buf ->
   Dense.buf ->
   Dense.buf ->
   Dense.buf ->
   Dense.buf ->
+  Dense.buf ->
   int array ->
   int array ->
   int array ->
   int array ->
+  int array ->
+  int array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -247,58 +252,43 @@ external gemm_block :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
+  (int[@untagged]) ->
+  bool ->
   (int[@untagged]) ->
   unit = "tce_gemm_block_byte" "tce_gemm_block"
 [@@noalloc]
 
 (* GEMM path: pack-and-tile over (M, N, K) index groups, with any
-   batch dimensions walked outside. For each (MC, NC) block
-   of C: gather the block into the contiguous [cp] panel (so later
-   K strips keep accumulating on the caller's initial values, exactly
-   like the walk), then per KC strip make one [gemm_block] call, which
-   packs the A and B micro-panels and runs the register tile; finally
-   scatter the packed block back. Offset tables linearize the
-   multi-dimensional groups so arbitrary strides — noncoalescible
-   layouts included — all run the same register tile. *)
+   batch dimensions walked outside, in the BLIS loop order: NC column
+   block, then KC strip, then MC row block, one [gemm_block] call per
+   block. A strip's first row block packs its B panel into [bp], and
+   the strip's later row blocks reuse it, so [bp] carries state from
+   one call to the next: two systhreads must not share a domain's
+   scratch in the middle of a [contract_acc] (no caller does). Each
+   call gathers and scatters its own C block, so a cell's running sum
+   passes through C's storage unchanged between strips and keeps
+   accumulating in ascending K, exactly like the walk. Offset tables
+   linearize the multi-dimensional groups so arbitrary strides —
+   noncoalescible layouts included — all run the same register tile. *)
 let gemm_driver st (abuf : Dense.buf) (bbuf : Dense.buf) (cbuf : Dense.buf)
     ~abase ~bbase ~cbase ~msz ~nsz ~ksz =
-  let mcf = st.mcf and ncf = st.ncf and cp = st.cp in
   let w = !lanes in
-  let ic = ref 0 in
-  while !ic < msz do
-    let mw = min mc (msz - !ic) in
-    let jc = ref 0 in
-    while !jc < nsz do
-      let nw = min nc (nsz - !jc) in
-      (* Gather the C block. *)
-      for ii = 0 to mw - 1 do
-        let co = cbase + Array.unsafe_get mcf (!ic + ii) in
-        let r = ii * nw in
-        for jj = 0 to nw - 1 do
-          A1.unsafe_set cp (r + jj)
-            (A1.unsafe_get cbuf (co + Array.unsafe_get ncf (!jc + jj)))
-        done
+  let jc = ref 0 in
+  while !jc < nsz do
+    let nw = min nc (nsz - !jc) in
+    let pc = ref 0 in
+    while !pc < ksz do
+      let kw = min kc (ksz - !pc) in
+      let ic = ref 0 in
+      while !ic < msz do
+        let mw = min mc (msz - !ic) in
+        gemm_block abuf bbuf cbuf st.ap st.bp st.cp st.ma st.ka st.mcf st.nb
+          st.kb st.ncf abase bbase cbase !ic !jc !pc mw nw kw (!ic = 0) w;
+        ic := !ic + mw
       done;
-      let pc = ref 0 in
-      while !pc < ksz do
-        let kw = min kc (ksz - !pc) in
-        gemm_block abuf bbuf st.ap st.bp cp st.ma st.ka st.nb st.kb abase bbase
-          !ic !jc !pc mw nw kw w;
-        pc := !pc + kw
-      done;
-      (* Scatter the C block back. *)
-      for ii = 0 to mw - 1 do
-        let co = cbase + Array.unsafe_get mcf (!ic + ii) in
-        let r = ii * nw in
-        for jj = 0 to nw - 1 do
-          A1.unsafe_set cbuf
-            (co + Array.unsafe_get ncf (!jc + jj))
-            (A1.unsafe_get cp (r + jj))
-        done
-      done;
-      jc := !jc + nw
+      pc := !pc + kw
     done;
-    ic := !ic + mw
+    jc := !jc + nw
   done
 
 (* ------------------------------------------------------------------ *)

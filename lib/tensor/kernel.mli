@@ -8,12 +8,17 @@
     - GEMM, when that dimension is carried by exactly one operand, or
       has no unit stride in the output's storage (dimensions both
       operands carry are then batch dimensions, walked outside the
-      block): per KC/MC/NC cache block, one C call packs A and B into
-      4-row and 2W-column micro-panels and runs a 4 × 2W tile of W-lane
-      vectors over them. One C body is built at W = 2 (SSE2/NEON, the
-      baseline), and on x86-64 also at W = 4 (AVX2) and W = 8
-      (AVX-512F); the widest the CPU supports runs ({!tile_lanes}).
-      Noncoalescible operand layouts are copy-packed through flat offset
+      block). The blocks run in the BLIS loop order: NC column block,
+      then KC summation strip, then MC row block. One C call per block
+      packs B's strip panel into 2W-column micro-panels (on the strip's
+      first row block only; the later row blocks reuse it), gathers the
+      block's C cells, packs A into 4-row micro-panels, runs a 4 × 2W
+      tile of W-lane vectors over them, with a 4 × W half tile on the
+      first W columns of a narrower trailing panel, and scatters C
+      back. One C body is built at W = 2 (SSE2/NEON, the baseline), and
+      on x86-64 also at W = 4 (AVX2) and W = 8 (AVX-512F); the widest
+      the CPU supports runs ({!tile_lanes}). Noncoalescible operand and
+      output layouts are copy-packed and gathered through flat offset
       tables, amortized over the cache blocking.
     - the stride walk, when the output iterates no dimension (a full
       reduction), or that dimension is carried by both operands at unit
@@ -37,7 +42,9 @@
     its windows' block copies would have, so it is bit-identical to
     contracting those copies. Both paths perform zero per-element
     allocation (panels and offset tables are per-domain, grow-only
-    scratch). *)
+    scratch). The B panel lives in that scratch between the block calls
+    of one contraction, so two systhreads of one domain must not run
+    {!contract_acc} at the same time. *)
 
 open! Import
 

@@ -374,6 +374,30 @@ let pack_vs_walk_pins_block ~seed ~count () =
       done;
       check_reached ~seed seen)
 
+(* A dense tensor over [dims] filled from [prng]. *)
+let random_dense prng dims =
+  let t = Dense.create dims in
+  Dense.fill_random t prng;
+  t
+
+(* Run [contract] on a copy of [into0] through the GEMM path and on
+   another copy through the walk oracle: the first must take the GEMM
+   path and the two must agree in every bit. *)
+let gemm_against_walk ctx contract into0 =
+  Fun.protect
+    ~finally:(fun () -> Kernel.set_walk_oracle false)
+    (fun () ->
+      let packed = Dense.copy into0 in
+      contract packed;
+      if Kernel.last_path () <> Kernel.Gemm then
+        Alcotest.failf "%s: did not take the GEMM path" ctx;
+      let walked = Dense.copy into0 in
+      Kernel.set_walk_oracle true;
+      contract walked;
+      Kernel.set_walk_oracle false;
+      if not (Dense.bits_equal packed walked) then
+        Alcotest.failf "%s: GEMM differs from walk oracle in the bits" ctx)
+
 (* GEMM shapes at the edges of the 4 × 2W register tile at every width
    (M, N in {1, 3, 4, 5, 7, 8, 9, 15, 16, 17}: one below, at and above
    4, 8 and 16) and one past each cache block (M = 65 > MC, N = 513 > NC,
@@ -386,37 +410,22 @@ let pack_vs_walk_pins_block ~seed ~count () =
 let gemm_edges () =
   at_every_width @@ fun lanes ->
   let prng = Prng.create ~seed:5201 in
+  let random = random_dense prng in
   let i = Index.v "i" and j = Index.v "j" and k = Index.v "k" in
   let xa = Index.v "xa" and xo = Index.v "xo" in
-  let random dims =
-    let t = Dense.create dims in
-    Dense.fill_random t prng;
-    t
-  in
-  let against_walk ctx contract into0 =
-    Fun.protect
-      ~finally:(fun () -> Kernel.set_walk_oracle false)
-      (fun () ->
-        let packed = Dense.copy into0 in
-        contract packed;
-        if Kernel.last_path () <> Kernel.Gemm then
-          Alcotest.failf "%s: did not take the GEMM path" ctx;
-        let walked = Dense.copy into0 in
-        Kernel.set_walk_oracle true;
-        contract walked;
-        Kernel.set_walk_oracle false;
-        if not (Dense.bits_equal packed walked) then
-          Alcotest.failf "%s: GEMM differs from walk oracle in the bits" ctx)
-  in
   List.iter
     (fun (m, n, kk) ->
       let ctx = Printf.sprintf "%d lanes, M=%d N=%d K=%d" lanes m n kk in
       let a = random [ (i, m); (k, kk) ] and b = random [ (k, kk); (j, n) ] in
       let c0 = random [ (i, m); (j, n) ] in
-      against_walk (ctx ^ " A·B") (fun into -> Kernel.contract_acc ~into a b) c0;
-      against_walk (ctx ^ " B·A") (fun into -> Kernel.contract_acc ~into b a) c0;
+      gemm_against_walk (ctx ^ " A·B")
+        (fun into -> Kernel.contract_acc ~into a b)
+        c0;
+      gemm_against_walk (ctx ^ " B·A")
+        (fun into -> Kernel.contract_acc ~into b a)
+        c0;
       let big_a = random [ (xa, 2); (i, m); (k, kk) ] in
-      against_walk (ctx ^ " pinned")
+      gemm_against_walk (ctx ^ " pinned")
         (fun into ->
           Kernel.contract_acc ~pin_a:[ (xa, 1) ] ~pin_out:[ (xo, 1) ] ~into
             big_a b)
@@ -426,6 +435,35 @@ let gemm_edges () =
       (65, 513, 257); (7, 16, 3); (8, 17, 257); (9, 15, 1); (15, 8, 3);
       (16, 9, 5); (17, 7, 257); (513, 65, 3);
     ]
+
+(* Batched GEMM across row blocks: C[b,i,j] = Σ_k A[b,i,k]·B[b,k,j] with
+   (b, M, N, K) = (3, 65, 17, 257) and (2, 130, 72, 96), in both operand
+   orders, against the walk oracle bit for bit at every tile width. The
+   batch label is walked outside the block, so each batch index must
+   pack its own B panel for every K strip and share it across the row
+   blocks past MC; the random instances (extents <= 8) never combine a
+   batch label with M > MC. *)
+let gemm_batched () =
+  at_every_width @@ fun lanes ->
+  let prng = Prng.create ~seed:5202 in
+  let random = random_dense prng in
+  let bt = Index.v "b" and i = Index.v "i" in
+  let j = Index.v "j" and k = Index.v "k" in
+  List.iter
+    (fun (nb, m, n, kk) ->
+      let ctx =
+        Printf.sprintf "%d lanes, batch %d, M=%d N=%d K=%d" lanes nb m n kk
+      in
+      let a = random [ (bt, nb); (i, m); (k, kk) ]
+      and b = random [ (bt, nb); (k, kk); (j, n) ] in
+      let c0 = random [ (bt, nb); (i, m); (j, n) ] in
+      gemm_against_walk (ctx ^ " A·B")
+        (fun into -> Kernel.contract_acc ~into a b)
+        c0;
+      gemm_against_walk (ctx ^ " B·A")
+        (fun into -> Kernel.contract_acc ~into b a)
+        c0)
+    [ (3, 65, 17, 257); (2, 130, 72, 96) ]
 
 (* The tile widths are 2, 4 and 8 lanes, of which the host runs a prefix
    with its widest as the default; [set_tile_lanes] refuses any other
@@ -683,6 +721,8 @@ let suite =
           (pack_vs_walk_pins_block ~seed:5101 ~count:25);
         case "GEMM tile and block edges == walk oracle, bit-for-bit"
           gemm_edges;
+        case "batched GEMM across row blocks == walk oracle, bit-for-bit"
+          gemm_batched;
         case
           (Printf.sprintf "tile widths run: %s lanes; 3 and 16 refused typed"
              (String.concat ", "

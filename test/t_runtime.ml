@@ -113,39 +113,42 @@ let test_spmd_abort_unblocks_recv () =
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "receivers were never unblocked"
 
-(* A silent peer (dead node without an exception) is caught by the recv
-   timeout, which poisons the run for everyone. [waited_s] must report the
-   time actually spent waiting — at least the configured timeout (the
-   expiry condition), and nowhere near the zero the seed reported. *)
-let test_spmd_recv_timeout () =
-  match
-    Spmd.run ~procs:2 (fun ctx ->
-        match Spmd.rank ctx with
-        | 1 -> ignore (Spmd.recv ~timeout_s:0.05 ctx ~src:0)
-        | _ -> Spmd.barrier ctx)
-  with
-  | exception
-      Spmd.Spmd_aborted
-        { rank = 1; exn = Spmd.Recv_timeout { rank = 1; src = 0; waited_s } }
-    ->
-    if waited_s < 0.05 then
-      Alcotest.failf "waited_s %.4f below the 0.05 s timeout" waited_s;
-    if waited_s > 5.0 then
-      Alcotest.failf "waited_s %.4f implausibly large" waited_s
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "timeout never fired"
-
-(* A timely message beats the timeout. *)
-let test_spmd_recv_within_timeout () =
+(* Every arrival in a mailbox wakes the receive parked on it, and a
+   message from another sender must not end the wait. Rank 1 parks on
+   rank 0; rank 2's message lands first (after a pause that lets rank 1
+   park) and only then does rank 0 send, ordered by an acknowledgement
+   from rank 2. The parked receive returns rank 0's value and rank 2's
+   stays queued for the next receive. *)
+let test_spmd_parked_recv_selects () =
   let results =
-    Spmd.run ~procs:2 (fun ctx ->
+    Spmd.run ~procs:3 (fun ctx ->
         match Spmd.rank ctx with
         | 0 ->
-          Spmd.send ctx ~dst:1 41;
-          0
-        | _ -> 1 + Spmd.recv ~timeout_s:5.0 ctx ~src:0)
+          let (_ : int) = Spmd.recv ctx ~src:2 in
+          Spmd.send ctx ~dst:1 10;
+          (0, 0)
+        | 1 ->
+          let a = Spmd.recv ctx ~src:0 in
+          let b = Spmd.recv ctx ~src:2 in
+          (a, b)
+        | _ ->
+          Unix.sleepf 0.02;
+          Spmd.send ctx ~dst:1 20;
+          Spmd.send ctx ~dst:0 0;
+          (0, 0))
   in
-  Alcotest.(check int) "received in time" 42 results.(1)
+  Alcotest.(check (pair int int)) "rank 0's value first" (10, 20) results.(1)
+
+(* A rank may message itself (a cyclic shift along an axis of width one
+   names the sender as its own neighbour): the send releases the mailbox
+   before the receive takes it, so a team of one gets its values back. *)
+let test_spmd_sendrecv_self () =
+  let results =
+    Spmd.run ~procs:1 (fun ctx ->
+        let v = Spmd.sendrecv ctx ~dst:0 7 ~src:0 in
+        v + Spmd.sendrecv ctx ~dst:0 35 ~src:0)
+  in
+  Alcotest.(check (array int)) "own values back" [| 42 |] results
 
 (* Selective receive stays FIFO per sender when two senders interleave
    (exercises the per-sender queues). *)
@@ -868,8 +871,8 @@ let suite =
         case "abort unblocks barrier (deadlock regression)"
           test_spmd_abort_unblocks_barrier;
         case "abort unblocks recv" test_spmd_abort_unblocks_recv;
-        case "recv timeout poisons the run" test_spmd_recv_timeout;
-        case "recv within timeout" test_spmd_recv_within_timeout;
+        case "parked recv waits out other senders" test_spmd_parked_recv_selects;
+        case "sendrecv with itself" test_spmd_sendrecv_self;
         case "selective recv, interleaved senders"
           test_spmd_selective_recv_interleaved;
       ] );
